@@ -10,6 +10,8 @@
 // schedules) happens once per benchmark, outside the timed loop — the
 // timed region is one full simulated iteration of every job in the
 // cluster, the quantity the parallel engine is supposed to buy down.
+// The second argument is the engine's thread count: the 1- vs 4-thread
+// rows measure how much of the sweep the shards actually parallelize.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -21,12 +23,14 @@ namespace {
 
 void BM_ClusterSweep(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
   const std::string text =
       std::to_string(jobs) +
       "x{envG:workers=2:ps=1:training model=AlexNet v2 policy=tac "
       "iterations=1 seed=1}";
   const tictac::runtime::ClusterSweep sweep(
-      tictac::runtime::ParseJobGroups(text, 4096), {});
+      tictac::runtime::ParseJobGroups(text, 4096),
+      {.num_threads = threads});
 
   tictac::runtime::ClusterSweepResult result;
   for (auto _ : state) {
@@ -39,12 +43,13 @@ void BM_ClusterSweep(benchmark::State& state) {
   state.counters["fairness"] = result.fairness;
   state.counters["total_throughput"] = result.total_throughput;
   state.SetLabel(std::to_string(result.jobs) + " jobs / " +
-                 std::to_string(result.fabrics) + " fabrics");
+                 std::to_string(result.fabrics) + " fabrics, " +
+                 std::to_string(threads) + " threads");
 }
 
 BENCHMARK(BM_ClusterSweep)
-    ->Arg(100)
-    ->Arg(1000)
+    ->ArgNames({"jobs", "threads"})
+    ->ArgsProduct({{100, 1000}, {1, 4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -23,9 +23,10 @@
 # (pool entries vs naive pred storage, dedup hits), and
 # bench_clustersweep's BM_ClusterSweep cases record the 100/1000-job
 # contended sweep through the sharded parallel engine plus the population
-# SLO counters (p99 job iteration, Jain fairness); the summary below
-# echoes all seven, plus the BM_RecvSetScan scalar-vs-widened bitset
-# scans.
+# SLO counters (p99 job iteration, Jain fairness) at 1 and 4 engine
+# threads; the summary below echoes all seven, plus the BM_RecvSetScan
+# scalar-vs-widened bitset scans and bench_sched_overhead's
+# BM_SimDispatch event-engine runs with their dispatch-visit counters.
 #
 # Usage: bench/run_benches.sh [build_dir] [out.json] [extra benchmark args]
 #   BENCH_MIN_TIME=0.2 bench/run_benches.sh build-release
@@ -218,6 +219,18 @@ if cluster:
         if fabrics is not None:
             extras = (f" ({fabrics:.0f} fabrics, p99 job iteration"
                       f" {p99:.3f} s, fairness {fairness:.3f})")
+        print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
+dispatch = [b for b in data.get("benchmarks", [])
+            if b.get("name", "").startswith("BM_SimDispatch")]
+if dispatch:
+    print("event-engine dispatch (BM_SimDispatch, one Run):")
+    for b in dispatch:
+        visits = b.get("visits")
+        tasks = b.get("tasks")
+        extras = ""
+        if visits is not None and tasks:
+            extras = (f" ({visits:.0f} dispatch visits for {tasks:.0f} tasks,"
+                      f" {visits / tasks:.2f} per task)")
         print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
 scans = [b for b in data.get("benchmarks", [])
          if b.get("name", "").startswith("BM_RecvSetScan")]

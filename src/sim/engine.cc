@@ -1,10 +1,12 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/flow.h"
 
@@ -248,6 +250,16 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
             : task.duration;
   }
 
+  // Dispatch work list: one bit per resource that may have become able to
+  // start a task since the last dispatch — a task was enqueued on it, it
+  // freed, or its speed changed. See start_eligible for the invariant
+  // that makes visiting only these resources exact.
+  std::vector<std::uint64_t> dirty(
+      (static_cast<std::size_t>(num_resources_) + 63) / 64, 0);
+  auto mark_dirty = [&](int r) {
+    dirty[static_cast<std::size_t>(r) / 64] |= std::uint64_t{1} << (r % 64);
+  };
+
   // Fault-injection state (SimOptions::faults). Sized only when a
   // timeline is present; with none, every fault branch below is skipped
   // and the run is bit-identical to the unperturbed engine.
@@ -270,6 +282,7 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
         const auto r = static_cast<std::size_t>(f.resource);
         speed[r] = f.speed > 0.0 ? f.speed : 0.0;
         res_down[r] = f.speed <= 0.0;
+        mark_dirty(f.resource);
       }
     }
   };
@@ -329,8 +342,9 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   std::vector<bool> busy(static_cast<std::size_t>(num_resources_), false);
 
   auto push_ready = [&](TaskId t) {
-    ready.Push(tasks_[static_cast<std::size_t>(t)].resource,
-               priority_rank_[static_cast<std::size_t>(t)], t);
+    const int r = tasks_[static_cast<std::size_t>(t)].resource;
+    ready.Push(r, priority_rank_[static_cast<std::size_t>(t)], t);
+    mark_dirty(r);
   };
 
   // Hand-off (§5.1): a gated task is *enqueued* on its channel once its
@@ -504,48 +518,54 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     return chosen;
   };
 
-  // Starting gated tasks opens downstream gates, possibly releasing tasks
-  // for other idle resources, so iterate to a fixpoint.
+  // Starts one task on every dirty resource that is up, idle, and has a
+  // ready task, in increasing resource order — the order select_task's
+  // random draws are consumed in. Invariant: after every call, each up
+  // resource is busy or has an empty ready set. Starting a task readies
+  // nothing (gate counters advance at enqueue time; recompute_rates only
+  // queues completions), so the only ways a resource can become
+  // startable again are the three that mark it dirty — an enqueue, a
+  // completion freeing it, a fault event — and visiting the dirty bits is
+  // equivalent to a scan over every resource.
   auto start_eligible = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int r = 0; r < num_resources_; ++r) {
-        if (has_faults && res_down[static_cast<std::size_t>(r)]) continue;
-        while (!busy[static_cast<std::size_t>(r)] &&
-               !ready.flat[static_cast<std::size_t>(r)].empty()) {
-          const TaskId t = select_task(r);
-          busy[static_cast<std::size_t>(r)] = true;
-          result.start[static_cast<std::size_t>(t)] = now;
-          result.start_order.push_back(t);
-          // A task runs at its resource's speed at start time; division
-          // only happens on the fault path so the plain path stays bit
-          // for bit what it always was.
-          const double d =
-              has_faults
-                  ? duration[static_cast<std::size_t>(t)] /
-                        speed[static_cast<std::size_t>(r)]
-                  : duration[static_cast<std::size_t>(t)];
-          if (has_flows && is_flow_resource(r)) {
-            // A flow's fault/jitter-adjusted duration is its demand at
-            // the nominal (static-split) rate; the water-fill converts
-            // it to wall time. Joining reshapes every rate, so recompute
-            // immediately — the new flow's first projection comes from
-            // its 0 -> fair-share rate change.
-            const auto ti = static_cast<std::size_t>(t);
-            flow_remaining[ti] = d;
-            flow_rate[ti] = 0.0;
-            flow_last[ti] = now;
-            active_pos[ti] = active_flows.size();
-            active_flows.push_back(t);
-            recompute_rates(now);
-          } else {
-            completions.push({now + d, t});
-          }
-          progress = true;
+    for (std::size_t w = 0; w < dirty.size(); ++w) {
+      for (std::uint64_t bits = std::exchange(dirty[w], 0); bits != 0;
+           bits &= bits - 1) {
+        const auto r = static_cast<int>(w * 64) + std::countr_zero(bits);
+        const auto ri = static_cast<std::size_t>(r);
+        ++result.dispatch_visits;
+        if (busy[ri] || ready.flat[ri].empty() ||
+            (has_faults && res_down[ri])) {
+          continue;
+        }
+        const TaskId t = select_task(r);
+        const auto ti = static_cast<std::size_t>(t);
+        busy[ri] = true;
+        result.start[ti] = now;
+        result.start_order.push_back(t);
+        // A task runs at its resource's speed at start time; dividing only
+        // on the fault path keeps the plain path bit for bit as it was.
+        const double d = has_faults ? duration[ti] / speed[ri] : duration[ti];
+        if (has_flows && is_flow_resource(r)) {
+          // The adjusted duration is the flow's demand at its nominal
+          // (static-split) rate. Joining reshapes every rate, so re-fill
+          // now: the flow's first projection is its 0 -> fair-share change.
+          flow_remaining[ti] = d;
+          flow_rate[ti] = 0.0;
+          flow_last[ti] = now;
+          active_pos[ti] = active_flows.size();
+          active_flows.push_back(t);
+          recompute_rates(now);
+        } else {
+          completions.push({now + d, t});
         }
       }
     }
+#ifndef NDEBUG
+    for (std::size_t r = 0; r < busy.size(); ++r) {
+      assert(busy[r] || ready.flat[r].empty() || (has_faults && res_down[r]));
+    }
+#endif
   };
 
   // Timeline events at t <= 0 (perturbations already in effect when the
@@ -580,8 +600,9 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     now = time;
     result.end[static_cast<std::size_t>(t)] = now;
     result.makespan = std::max(result.makespan, now);
-    busy[static_cast<std::size_t>(
-        tasks_[static_cast<std::size_t>(t)].resource)] = false;
+    const int freed = tasks_[static_cast<std::size_t>(t)].resource;
+    busy[static_cast<std::size_t>(freed)] = false;
+    mark_dirty(freed);
     if (has_flows && epoch != 0) {
       // A flow finished: swap-remove it from the active list, invalidate
       // any projections still queued for it, and hand its bandwidth to

@@ -7,7 +7,9 @@
 //   * an idle resource picks uniformly at random among the ready tasks
 //     holding the lowest priority number plus those without a priority —
 //     exactly the ready-to-execute queue rule of Section 3.1;
-//   * starting a gated task advances its group's hand-off counter.
+//   * enqueueing a gated task (its dependencies met and the counter at
+//     its rank) advances its group's hand-off counter, so the next rank
+//     may enqueue before this one starts (§5.1).
 //
 // The engine is deterministic given (tasks, options, seed).
 //
@@ -37,7 +39,10 @@
 //     for the out-of-order uniform pick — a pick is O(1) instead of an
 //     O(queue) min-scan into a freshly allocated candidate vector;
 //   * gate-waiting tasks are bucketed by rank, so a cascade release is
-//     O(1) per released task instead of a rescan of the waiting list.
+//     O(1) per released task instead of a rescan of the waiting list;
+//   * dispatch visits only resources on a dirty bitset (marked on
+//     enqueue, completion, and fault events), so its cost per event is
+//     proportional to what the event touched, not to the resource count.
 #pragma once
 
 #include <vector>

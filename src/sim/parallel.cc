@@ -281,6 +281,7 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
   out.start_order.reserve(tasks_.size());
   for (const Shard& s : shards) {
     out.makespan = std::max(out.makespan, s.result.makespan);
+    out.dispatch_visits += s.result.dispatch_visits;
     for (std::size_t i = 0; i < s.global.size(); ++i) {
       const auto g = static_cast<std::size_t>(s.global[i]);
       out.start[g] = s.result.start[i];

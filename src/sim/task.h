@@ -65,8 +65,10 @@ struct ResourceFault {
 struct SimOptions {
   // Honor gate_group/gate_rank. Off = the unscheduled baseline.
   bool enforce_gates = true;
-  // Probability that a gated task is exempted from its gate, modeling
-  // gRPC hand-off reordering (the paper measures 0.4-0.5%).
+  // Probability that a dispatch ignores priorities and picks uniformly
+  // among all of the resource's ready tasks, modeling gRPC processing
+  // transfers out of hand-off order (the paper measures 0.4-0.5%). Gates
+  // still apply: only tasks already enqueued are candidates.
   double out_of_order_probability = 0.0;
   // Multiplicative lognormal jitter (shape sigma) on every task duration,
   // modeling platform timing variation. 0 = deterministic durations.
@@ -92,6 +94,10 @@ struct SimResult {
   std::vector<double> end;    // per task
   // Tasks in the order they started, useful for schedule forensics.
   std::vector<TaskId> start_order;
+  // Work counter: resources examined by dispatch (one per dirty-resource
+  // visit, summed over shards by RunParallel). Deterministic in (graph,
+  // options, seed), but an engine-cost figure, not a simulated outcome.
+  std::uint64_t dispatch_visits = 0;
 };
 
 }  // namespace tictac::sim

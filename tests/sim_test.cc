@@ -418,5 +418,55 @@ TEST(SimFaults, MidRunSlowdownHitsOnlyLaterStarts) {
   EXPECT_DOUBLE_EQ(r.end[1], 6.0);
 }
 
+// Dispatch work counter: dispatch visits only resources an event touched,
+// so a chain on one resource of a very wide graph costs O(tasks), not
+// O(tasks x resources) — the full-scan dispatch needed ~1.6 M visits here.
+
+std::vector<Task> Chain(int length, int resource) {
+  std::vector<Task> tasks;
+  for (int i = 0; i < length; ++i) {
+    tasks.push_back(MakeTask(
+        1.0, resource,
+        i == 0 ? std::vector<TaskId>{} : std::vector<TaskId>{i - 1}));
+  }
+  return tasks;
+}
+
+TEST(DispatchVisits, ProportionalToEventsNotResources) {
+  constexpr int kTasks = 200;
+  const TaskGraphSim sim(Chain(kTasks, 0), 4096);
+  const SimResult plain = sim.Run({}, 1);
+  EXPECT_DOUBLE_EQ(plain.makespan, 200.0);
+  EXPECT_LT(plain.dispatch_visits, 2u * kTasks);
+
+  // Fault events on idle resources, and on the chain's own, add at most
+  // one visit each. Resource 0 is down over [10.5, 20): the task in
+  // flight finishes at 11 and the next one waits until 20.
+  const std::vector<ResourceFault> faults{
+      {0.0, 4095, 0.5}, {10.5, 0, 0.0}, {20.0, 0, 1.0}, {30.0, 17, 2.0}};
+  SimOptions options;
+  options.faults = &faults;
+  const SimResult faulted = sim.Run(options, 1);
+  EXPECT_DOUBLE_EQ(faulted.makespan, 209.0);
+  EXPECT_LT(faulted.dispatch_visits, 2u * kTasks + faults.size());
+}
+
+TEST(DispatchVisits, RunParallelSumsShardCounters) {
+  // Two disjoint chains at opposite ends of the resource range: two
+  // shards, each a chain on one resource.
+  std::vector<Task> tasks = Chain(50, 0);
+  for (Task& t : Chain(30, 4095)) {
+    for (TaskId& p : t.preds) p += 50;
+    tasks.push_back(std::move(t));
+  }
+  const TaskGraphSim sim(std::move(tasks), 4096);
+  const std::uint64_t expected =
+      TaskGraphSim(Chain(50, 0), 1).Run({}, 1).dispatch_visits +
+      TaskGraphSim(Chain(30, 0), 1).Run({}, 1).dispatch_visits;
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(sim.RunParallel({}, 1, threads).dispatch_visits, expected);
+  }
+}
+
 }  // namespace
 }  // namespace tictac::sim
