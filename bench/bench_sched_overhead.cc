@@ -7,7 +7,9 @@
 // zoo model) make the old-O(R²·V)-vs-incremental gap visible at the
 // production graph scales the ROADMAP targets; BM_TacFullRecompute pins
 // the reference implementation's cost for the before/after comparison
-// (only at sizes where it finishes in reasonable time).
+// (only at sizes where it finishes in reasonable time). BM_Tac reports
+// the incremental state's work counter: dep-list entries visited by M
+// re-sums over one schedule.
 // BM_SessionSweep pins the wall-clock of a representative experiment
 // grid through harness::Session's sweep executor, serial (Arg = 1) vs
 // one thread per core — the headline win of the declarative API is that
@@ -24,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/incremental_properties.h"
 #include "core/policy_registry.h"
 #include "core/properties.h"
 #include "core/tac.h"
@@ -69,6 +72,15 @@ void BM_Tac(benchmark::State& state, const char* model) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(tictac::core::Tac(graph, oracle));
   }
+  // Tac()'s loop once more, untimed, for the state's work counter.
+  const tictac::core::PropertyIndex index(graph);
+  tictac::core::IncrementalProperties props(index, oracle);
+  while (props.remaining() > 0) {
+    props.CompleteRecv(static_cast<std::size_t>(props.BestRecv()));
+  }
+  state.counters["resum_visits"] =
+      static_cast<double>(props.resum_visits());
+  state.counters["recvs"] = static_cast<double>(index.recvs().size());
   state.SetLabel(std::to_string(graph.size()) + " ops");
 }
 

@@ -25,8 +25,13 @@
 # contended sweep through the sharded parallel engine plus the population
 # SLO counters (p99 job iteration, Jain fairness) at 1 and 4 engine
 # threads; the summary below echoes all seven, plus the BM_RecvSetScan
-# scalar-vs-widened bitset scans and bench_sched_overhead's
-# BM_SimDispatch event-engine runs with their dispatch-visit counters.
+# scalar-vs-widened bitset scans, bench_sched_overhead's BM_Tac
+# schedules with their M re-sum counters, and its BM_SimDispatch
+# event-engine runs with their dispatch-visit counters.
+#
+# The JSON's "context" also records what libbenchmark cannot know: this
+# repo's build type (from CMakeCache.txt), the compiler, the git commit
+# (suffixed "-dirty" when tracked files differ from it) and nproc.
 #
 # Usage: bench/run_benches.sh [build_dir] [out.json] [extra benchmark args]
 #   BENCH_MIN_TIME=0.2 bench/run_benches.sh build-release
@@ -110,16 +115,51 @@ for extra_bench in bench_multijob bench_service bench_faults bench_exec \
                    bench_lowering bench_clustersweep; do
   EXTRA_BIN="${BUILD_DIR}/${extra_bench}"
   if [[ -x "${EXTRA_BIN}" ]]; then
+    : > "${EXTRA_OUT}"
     "${EXTRA_BIN}" \
       --benchmark_out="${EXTRA_OUT}" \
       --benchmark_out_format=json \
       --benchmark_min_time="${BENCH_MIN_TIME:-0.05}" \
       "$@"
-    merge_rows "${EXTRA_OUT}"
+    # A --benchmark_filter matching none of its cases leaves it empty.
+    if [[ -s "${EXTRA_OUT}" ]]; then
+      merge_rows "${EXTRA_OUT}"
+    fi
   else
     echo "note: ${EXTRA_BIN} not found — BENCH JSON has no ${extra_bench} rows" >&2
   fi
 done
+
+# Run context for this repo's build; libbenchmark's own
+# "library_build_type" describes the system libbenchmark, not this tree.
+CXX_PATH="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' \
+    "${BUILD_DIR}/CMakeCache.txt" 2>/dev/null || true)"
+COMPILER="$("${CXX_PATH:-c++}" --version 2>/dev/null | head -n 1 || true)"
+REPO_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+GIT_SHA="$(git -C "${REPO_DIR}" rev-parse HEAD 2>/dev/null || true)"
+if [[ -n "${GIT_SHA}" ]] &&
+   [[ -n "$(git -C "${REPO_DIR}" status --porcelain --untracked-files=no)" ]]; then
+  GIT_SHA="${GIT_SHA}-dirty"
+fi
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "${OUT}" "${BUILD_TYPE:-unknown}" "${COMPILER:-unknown}" \
+      "${GIT_SHA:-n/a}" "$(nproc)" <<'EOF'
+import json
+import sys
+
+path, build_type, compiler, git_sha, nproc = sys.argv[1:]
+with open(path) as f:
+    data = json.load(f)
+data.setdefault("context", {}).update({
+    "build_type": build_type, "compiler": compiler, "git_sha": git_sha,
+    "nproc": int(nproc)})
+with open(path, "w") as f:
+    json.dump(data, f, indent=2)
+    f.write("\n")
+EOF
+else
+  echo "note: python3 not found — ${OUT} has no build context" >&2
+fi
 
 echo "wrote ${OUT}"
 
@@ -219,6 +259,17 @@ if cluster:
         if fabrics is not None:
             extras = (f" ({fabrics:.0f} fabrics, p99 job iteration"
                       f" {p99:.3f} s, fairness {fairness:.3f})")
+        print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
+tac = [b for b in data.get("benchmarks", [])
+       if b.get("name", "").startswith("BM_Tac/")]
+if tac:
+    print("TAC schedule (BM_Tac, one schedule):")
+    for b in tac:
+        visits = b.get("resum_visits")
+        extras = ""
+        if visits is not None:
+            extras = (f" ({visits:.0f} M re-sum visits,"
+                      f" {b.get('recvs', 0):.0f} recvs)")
         print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
 dispatch = [b for b in data.get("benchmarks", [])
             if b.get("name", "").startswith("BM_SimDispatch")]

@@ -30,26 +30,76 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
   remaining_ = recvs.size();
   dirty_flag_.assign(recvs.size(), 0);
   dirty_.reserve(recvs.size());
-  surviving_.reserve(recvs.size());
 
-  // Sparse mirrors of the dep/consumer bitsets. The bitset scans cost
-  // O(bits/64) words regardless of population; at 100k recvs that is
-  // ~1.6k words per op per completion — the dominant cost of the whole
-  // schedule. The mirrors are built once here (ForEach visits bits in
-  // increasing order, so iterating them reproduces the bitset scan
-  // order exactly) and CompleteRecv touches only real members.
-  dep_count_.resize(g.size());
-  dep_sum_.assign(g.size(), 0);
-  dep_recvs_.resize(g.size());
+  // Intern every non-recv op's dep list into a dep-set class. The list
+  // is appended to cls_recvs_ as a candidate class, hashed on the way,
+  // and looked up in an open-addressing table of class ids, comparing
+  // full lists; a duplicate candidate is dropped again. Recv ops never join the G−R scan and ops with an
+  // empty dep set never join a consumer list, so neither gets a class.
+  constexpr std::uint32_t kNoClass = ~std::uint32_t{0};
+  cls_of_op_.assign(g.size(), kNoClass);
+  cls_begin_.assign(1, 0);
+  int table_bits = 1;
+  while ((std::size_t{1} << table_bits) < 2 * g.size()) ++table_bits;
+  std::vector<std::uint32_t> table(std::size_t{1} << table_bits, kNoClass);
+  const std::size_t mask = table.size() - 1;
   for (std::size_t id = 0; id < g.size(); ++id) {
-    const RecvSet& dep = index.dep(static_cast<OpId>(id));
-    dep_count_[id] = static_cast<int>(dep.Count());
-    dep_recvs_[id].reserve(static_cast<std::size_t>(dep_count_[id]));
-    dep.ForEach([&](std::size_t ri) {
-      dep_sum_[id] += static_cast<std::int64_t>(ri);
-      dep_recvs_[id].push_back(static_cast<std::uint32_t>(ri));
+    const auto op = static_cast<OpId>(id);
+    if (index.recv_index(op) >= 0) continue;
+    const auto begin = static_cast<std::ptrdiff_t>(cls_recvs_.size());
+    std::uint64_t h = 14695981039346656037ULL;  // FNV-1a over the indices
+    index.dep(op).ForEach([&](std::size_t ri) {
+      cls_recvs_.push_back(static_cast<std::uint32_t>(ri));
+      h = (h ^ ri) * 1099511628211ULL;
     });
+    if (cls_recvs_.size() == static_cast<std::size_t>(begin)) continue;
+    const auto list = cls_recvs_.begin() + begin;
+    for (std::size_t slot = (h * 0x9E3779B97F4A7C15ULL) >> (64 - table_bits);;
+         slot = (slot + 1) & mask) {
+      const std::uint32_t c = table[slot];
+      if (c == kNoClass) {
+        table[slot] = static_cast<std::uint32_t>(cls_begin_.size() - 1);
+        cls_of_op_[id] = table[slot];
+        cls_begin_.push_back(static_cast<std::uint32_t>(cls_recvs_.size()));
+        break;
+      }
+      if (std::equal(cls_recvs_.begin() + cls_begin_[c],
+                     cls_recvs_.begin() + cls_begin_[c + 1], list,
+                     cls_recvs_.end())) {
+        cls_of_op_[id] = c;
+        cls_recvs_.erase(list, cls_recvs_.end());
+        break;
+      }
+    }
   }
+
+  // Per-class state with every recv outstanding (M summed in list order,
+  // as UpdateProperties sums it), and the recv -> classes transpose.
+  const std::size_t classes = cls_begin_.size() - 1;
+  cls_end_.assign(cls_begin_.begin() + 1, cls_begin_.end());
+  cls_begin_.pop_back();
+  cls_M_.assign(classes, 0.0);
+  recv_cls_begin_.assign(recvs.size() + 1, 0);
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::uint32_t k = cls_begin_[c]; k < cls_end_[c]; ++k) {
+      const std::uint32_t ri = cls_recvs_[k];
+      cls_M_[c] += recv_time_[ri];
+      ++recv_cls_begin_[ri + 1];
+    }
+  }
+  for (std::size_t ri = 0; ri < recvs.size(); ++ri) {
+    recv_cls_begin_[ri + 1] += recv_cls_begin_[ri];
+  }
+  recv_cls_.resize(cls_recvs_.size());
+  std::vector<std::uint32_t> fill(recv_cls_begin_.begin(),
+                                  recv_cls_begin_.end() - 1);
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::uint32_t k = cls_begin_[c]; k < cls_end_[c]; ++k) {
+      recv_cls_[fill[cls_recvs_[k]]++] = static_cast<std::uint32_t>(c);
+    }
+  }
+
+  // Consumer lists, in the op-id order the bitset ForEach visits.
   consumer_ops_.resize(recvs.size());
   for (std::size_t ri = 0; ri < recvs.size(); ++ri) {
     const RecvSet& consumers = index.consumers(ri);
@@ -58,11 +108,6 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
       consumer_ops_[ri].push_back(static_cast<std::uint32_t>(id));
     });
   }
-
-  // Initial properties via the reference pass — by construction identical
-  // to what the full recompute reports for the all-outstanding set.
-  props_ = index.UpdateProperties(
-      oracle, std::vector<bool>(recvs.size(), true), &op_M_);
 
   const std::size_t blocks =
       (recvs.size() + (std::size_t{1} << kBlockShift) - 1) >> kBlockShift;
@@ -73,6 +118,16 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
   blk_min_u_.resize(blocks);
   blk_max_m_.resize(blocks);
   blk_any_m_eq_p_.resize(blocks);
+
+  // Initial properties: every recv outstanding, so a recv's M is its
+  // own transfer time, and P / M+ come from the same rebuild CompleteRecv
+  // uses — the full pass's G−R scan restricted to the recv's consumers.
+  props_.resize(recvs.size());
+  for (std::size_t ri = 0; ri < recvs.size(); ++ri) {
+    props_[ri].op = recvs[ri];
+    props_[ri].M = recv_time_[ri];
+    RecomputeRecv(ri);
+  }
 
   m_sorted_.reserve(recvs.size());
   for (std::size_t i = 0; i < recvs.size(); ++i) {
@@ -89,14 +144,31 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
   --remaining_;
   dirty_.clear();
 
-  for (const std::uint32_t id : consumer_ops_[ri]) {
-    const int d = --dep_count_[id];
-    dep_sum_[id] -= static_cast<std::int64_t>(ri);
+  for (std::uint32_t k = recv_cls_begin_[ri]; k < recv_cls_begin_[ri + 1];
+       ++k) {
+    // The class's list holds exactly its outstanding members, `ri`
+    // included. Drop `ri` in place (compaction keeps the increasing recv
+    // order, the full pass's order) and re-sum M over the rest on the way,
+    // so the sum is bit-identical to the full pass's.
+    const std::uint32_t c = recv_cls_[k];
+    std::uint32_t* const first = cls_recvs_.data() + cls_begin_[c];
+    const std::uint32_t* const last = cls_recvs_.data() + cls_end_[c];
+    resum_visits_ += static_cast<std::uint64_t>(last - first);
+    double m = 0.0;
+    std::uint32_t* end = first;
+    for (const std::uint32_t* r = first; r != last; ++r) {
+      if (*r == ri) continue;
+      m += recv_time_[*r];
+      *end++ = *r;
+    }
+    assert(last - end == 1);
+    cls_end_[c] = static_cast<std::uint32_t>(end - cls_recvs_.data());
+    const std::ptrdiff_t d = end - first;
     if (d == 0) continue;  // its whole P contribution went to `ri` itself
     if (d == 1) {
-      // The op leaves the M+ pool and joins the P pool of its one
+      // The class's ops leave the M+ pool and join the P pool of their one
       // surviving recv; both of that recv's properties need a rebuild.
-      const auto q = static_cast<std::size_t>(dep_sum_[id]);
+      const std::size_t q = *first;
       if (dirty_flag_[q] == 0) {
         dirty_flag_[q] = 1;
         dirty_.push_back(q);
@@ -104,29 +176,20 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
       continue;
     }
     // d >= 2: still an M+ contributor, but its outstanding communication
-    // time shrank. Re-sum M over dep ∩ outstanding — the sparse list is
-    // in increasing recv order, the full pass's order, so the sum is
-    // bit-identical — then fold the new value into the M+ of every recv
-    // the op still depends on: a pure min() update, exact because
-    // contributions only ever decrease.
-    double m = 0.0;
-    surviving_.clear();
-    for (const std::uint32_t r : dep_recvs_[id]) {
-      if (outstanding_[r] == 0) continue;
-      m += recv_time_[r];
-      surviving_.push_back(r);
-    }
-    op_M_[id] = m;
-    for (const std::uint32_t r : surviving_) {
-      if (m < props_[r].Mplus) {
-        props_[r].Mplus = m;
+    // time shrank. Fold the new value into the M+ of every recv the class
+    // still depends on: a pure min() update, exact because contributions
+    // only ever decrease.
+    cls_M_[c] = m;
+    for (const std::uint32_t* r = first; r != end; ++r) {
+      if (m < props_[*r].Mplus) {
+        props_[*r].Mplus = m;
         // Lowering a member's M+ moves the block's min to
         // min(old min, m) exactly, so the aggregate is maintained in
         // O(1) instead of dirtying the block — this fold touches most
         // outstanding recvs every round, and re-scanning every touched
         // block would cost more than the pruning saves.
-        if (m < blk_min_mplus_[r >> kBlockShift]) {
-          blk_min_mplus_[r >> kBlockShift] = m;
+        if (m < blk_min_mplus_[*r >> kBlockShift]) {
+          blk_min_mplus_[*r >> kBlockShift] = m;
         }
       }
     }
@@ -144,11 +207,12 @@ void IncrementalProperties::RecomputeRecv(std::size_t q) {
   double p = 0.0;
   double mplus = kInfinity;
   for (const std::uint32_t id : consumer_ops_[q]) {
-    const int d = dep_count_[id];
+    const std::uint32_t c = cls_of_op_[id];
+    const std::uint32_t d = cls_end_[c] - cls_begin_[c];
     if (d == 1) {
       p += time_[id];  // q is its only outstanding dependency
     } else if (d >= 2) {
-      mplus = std::min(mplus, op_M_[id]);
+      mplus = std::min(mplus, cls_M_[c]);
     }
   }
   props_[q].P = p;

@@ -3,24 +3,34 @@
 //
 // TAC schedules one recv per round; recomputing every property from
 // scratch each round costs O(R·V) per round — O(R²·V) for a full
-// schedule. This state object maintains, per op, the outstanding
-// dependency count and communication time M, and, per outstanding recv,
-// the P / M+ properties, updating only the ops whose dep set contains
-// the completed recv (via PropertyIndex::consumers). Oracle times are
-// cached in a flat vector at construction, so the virtual Time() call is
-// made once per op instead of once per op per round.
+// schedule. This state object maintains the outstanding dependency
+// count and communication time M of every dep set, and, per outstanding
+// recv, the P / M+ properties, updating only what the completed recv
+// actually touches. Oracle times are cached in a flat vector at
+// construction, so the virtual Time() call is made once per op instead
+// of once per op per round.
+//
+// Dep-set classes. Most ops of a DNN worker graph share their dep set
+// with many others (every backward op of a training graph depends on
+// the same prefix of recvs), so the constructor interns each non-recv
+// op's dep list into a class, and the outstanding members and M are
+// kept per class. Ops with equal dep lists have equal outstanding
+// members and a bit-equal M: they sum the same list in the same order,
+// which yields the same bits. A completion therefore re-sums M once per
+// affected class instead of once per affected op — ResNet-101 v2
+// training has 5 135 ops with a non-empty dep set, in 122 classes.
 //
 // The results are bit-identical to PropertyIndex::UpdateProperties on
 // the same outstanding set:
-//   * M is re-summed over the op's dep set in the same (increasing
-//     recv-index) order as the full pass, never maintained by
-//     subtraction, so float rounding matches exactly;
+//   * M is re-summed over the class's outstanding members in the same
+//     (increasing recv-index) order as the full pass, never maintained
+//     by subtraction, so float rounding matches exactly;
 //   * P is re-summed over consumers(q) in op-id order — the same order
 //     the full pass's G−R scan accumulates it in;
-//   * M+ is a min, which is order-independent: when a contributor's M
-//     shrinks its new value is folded in with min(); when a contributor
-//     leaves (its dep count drops to 1) the one recv it still covers is
-//     recomputed from scratch.
+//   * M+ is a min, which is order-independent: when a class's M shrinks
+//     its new value is folded in with min(); when a class leaves (its
+//     dep count drops to 1) the one recv it still covers is recomputed
+//     from scratch.
 // The full recompute stays available as the reference oracle for
 // differential testing (tests/incremental_properties_test.cc).
 #pragma once
@@ -35,8 +45,8 @@ namespace tictac::core {
 
 class IncrementalProperties {
  public:
-  // Caches oracle times and computes the initial properties with every
-  // recv outstanding (one full Algorithm-1 pass). Requires
+  // Caches oracle times, interns the dep-set classes, and computes the
+  // initial properties with every recv outstanding. Requires
   // index.recvs_are_roots(); callers (Tac) fall back to the full
   // recompute for graphs where recvs have recv ancestors.
   IncrementalProperties(const PropertyIndex& index, const TimeOracle& oracle);
@@ -50,9 +60,15 @@ class IncrementalProperties {
   std::size_t remaining() const { return remaining_; }
 
   // Marks recv index `ri` (which must be outstanding) as transferred and
-  // updates the properties of the affected ops only: O(V/64 + Σ|dep|)
-  // over consumers(ri) instead of a full O(V·R) pass.
+  // updates the properties it affects: O(outstanding members) per class
+  // containing `ri`, plus O(|consumers(q)|) for each recv q whose P pool
+  // grew, instead of a full O(V·R) pass.
   void CompleteRecv(std::size_t ri);
+
+  // Work counter: dep-list entries CompleteRecv has visited so far, each
+  // class visit walking the class's outstanding members once (and
+  // re-summing M over them). Never printed.
+  std::uint64_t resum_visits() const { return resum_visits_; }
 
   // The recv tac.cc's flat left-to-right TacBefore fold over props()
   // would pick, or -1 with nothing outstanding. Computed with per-block
@@ -97,24 +113,31 @@ class IncrementalProperties {
   std::vector<double> time_;       // op id -> cached oracle time
   std::vector<double> recv_time_;  // recv index -> cached oracle time
   std::vector<char> outstanding_;  // recv index -> still to transfer
-  std::vector<int> dep_count_;     // op id -> |dep ∩ outstanding|
-  // Sparse mirrors of PropertyIndex's dep/consumer bitsets, in the same
-  // increasing-index order the bitset ForEach visits — O(members) per
-  // scan instead of O(bits/64) words, which is what the per-completion
-  // update actually pays at 100k recvs.
-  std::vector<std::vector<std::uint32_t>> dep_recvs_;     // op -> recv idxs
+
+  // Dep-set classes as CSR arrays (an offsets array plus one flat list
+  // each), and the consumer lists. Lists are in increasing index order —
+  // the order PropertyIndex's bitset ForEach visits — so iterating them
+  // reproduces the full pass's summation order exactly.
+  // A class's list is always exactly its outstanding members: each
+  // completion removes itself from its classes' lists in place, order
+  // kept. So a class's outstanding count is its list length, a re-sum
+  // walks only the outstanding members, and when one is left it is the
+  // list's only entry.
+  std::vector<std::uint32_t> cls_of_op_;      // op id -> class (non-recv ops)
+  std::vector<std::uint32_t> cls_begin_;      // class -> list offset
+  std::vector<std::uint32_t> cls_end_;        // class -> list end
+  std::vector<std::uint32_t> cls_recvs_;      // flat class -> recv idxs
+  std::vector<std::uint32_t> recv_cls_begin_;  // recv -> offset, plus end
+  std::vector<std::uint32_t> recv_cls_;       // flat recv -> class ids
   std::vector<std::vector<std::uint32_t>> consumer_ops_;  // recv -> op ids
-  // op id -> Σ of outstanding recv indices in dep; when dep_count_ hits 1
-  // this IS the surviving recv index, found in O(1).
-  std::vector<std::int64_t> dep_sum_;
-  std::vector<double> op_M_;       // op id -> outstanding communication time
+  std::vector<double> cls_M_;  // class -> outstanding communication time
   std::vector<RecvProperties> props_;
   std::size_t remaining_ = 0;
+  std::uint64_t resum_visits_ = 0;
 
   // Scratch for CompleteRecv (reused across calls; no per-call allocation).
   std::vector<std::size_t> dirty_;
   std::vector<char> dirty_flag_;
-  std::vector<std::uint32_t> surviving_;  // one op's dep ∩ outstanding
 
   // BestRecv's block-pruning state (see the method comment).
   static constexpr std::size_t kBlockShift = 8;  // 256 recvs per block

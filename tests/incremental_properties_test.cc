@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/chunking.h"
 #include "core/tac.h"
 #include "models/builder.h"
 #include "models/random_dag.h"
@@ -43,8 +44,34 @@ void ExpectSameSchedules(const Graph& g, const Schedule& a,
   }
 }
 
-// Every step of a TAC run over random DAGs: the incremental state must
-// match a from-scratch UpdateProperties on the same outstanding set.
+// Every step of a TAC run: the incremental state must match a
+// from-scratch UpdateProperties on the same outstanding set.
+void ExpectMatchesFullRecomputeStepByStep(const PropertyIndex& index,
+                                          const TimeOracle& oracle,
+                                          std::uint64_t seed) {
+  IncrementalProperties state(index, oracle);
+  std::vector<bool> outstanding(index.recvs().size(), true);
+  for (std::size_t step = 0; step < index.recvs().size(); ++step) {
+    const auto full = index.UpdateProperties(oracle, outstanding);
+    ExpectSameProps(full, state.props(), seed, step);
+
+    // Complete the recv TAC would pick, so the trajectory exercised is
+    // exactly the scheduling trajectory.
+    int best = -1;
+    for (std::size_t i = 0; i < outstanding.size(); ++i) {
+      if (!outstanding[i]) continue;
+      if (best < 0 ||
+          TacBefore(full[i], full[static_cast<std::size_t>(best)])) {
+        best = static_cast<int>(i);
+      }
+    }
+    ASSERT_GE(best, 0);
+    outstanding[static_cast<std::size_t>(best)] = false;
+    state.CompleteRecv(static_cast<std::size_t>(best));
+  }
+  EXPECT_EQ(state.remaining(), 0u);
+}
+
 TEST(IncrementalProperties, MatchesFullRecomputeStepByStepOnRandomDags) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     RandomDagOptions options;
@@ -54,31 +81,53 @@ TEST(IncrementalProperties, MatchesFullRecomputeStepByStepOnRandomDags) {
     options.edge_probability = 0.1 + 0.05 * static_cast<double>(seed % 10);
     options.with_sends = seed % 2 == 0;  // sends depend on *every* recv
     const Graph g = MakeRandomDag(options, seed);
-    const PropertyIndex index(g);
-    const AnalyticalTimeOracle oracle{PlatformModel{}};
-
-    IncrementalProperties state(index, oracle);
-    std::vector<bool> outstanding(index.recvs().size(), true);
-    for (std::size_t step = 0; step < index.recvs().size(); ++step) {
-      const auto full = index.UpdateProperties(oracle, outstanding);
-      ExpectSameProps(full, state.props(), seed, step);
-
-      // Complete the recv TAC would pick, so the trajectory exercised is
-      // exactly the scheduling trajectory.
-      int best = -1;
-      for (std::size_t i = 0; i < outstanding.size(); ++i) {
-        if (!outstanding[i]) continue;
-        if (best < 0 ||
-            TacBefore(full[i], full[static_cast<std::size_t>(best)])) {
-          best = static_cast<int>(i);
-        }
-      }
-      ASSERT_GE(best, 0);
-      outstanding[static_cast<std::size_t>(best)] = false;
-      state.CompleteRecv(static_cast<std::size_t>(best));
-    }
-    EXPECT_EQ(state.remaining(), 0u);
+    ExpectMatchesFullRecomputeStepByStep(
+        PropertyIndex(g), AnalyticalTimeOracle{PlatformModel{}}, seed);
   }
+}
+
+// Random DAGs rarely share dep sets; a chunked zoo graph puts many ops in
+// one dep-set class, and whole classes reach a count of 1 together.
+TEST(IncrementalProperties, MatchesFullRecomputeStepByStepOnChunkedZooModel) {
+  const Graph g = ChunkTransfers(
+      models::BuildWorkerGraph(models::FindModel("AlexNet v2"),
+                               {.training = true}),
+      {.max_chunk_bytes = 1 << 20});
+  ExpectMatchesFullRecomputeStepByStep(
+      PropertyIndex(g), AnalyticalTimeOracle{PlatformModel{}}, /*seed=*/0);
+}
+
+// Ops sharing a dep set share one M re-sum: k compute ops that each
+// depend on the same n recvs cost one n-entry re-sum per completion, not
+// k of them, and each later re-sum walks only the recvs still
+// outstanding.
+TEST(IncrementalProperties, SharedDepSetIsResummedOncePerCompletion) {
+  constexpr int kRecvs = 12;
+  constexpr int kComputes = 40;
+  Graph g;
+  std::vector<OpId> recvs;
+  for (int r = 0; r < kRecvs; ++r) {
+    recvs.push_back(g.AddRecv("r", 1000 * (r + 1)));
+  }
+  for (int c = 0; c < kComputes; ++c) {
+    const OpId op = g.AddCompute("c", 1.0 + c);
+    for (const OpId r : recvs) g.AddEdge(r, op);
+  }
+  const PropertyIndex index(g);
+  const AnalyticalTimeOracle oracle{PlatformModel{}};
+  IncrementalProperties state(index, oracle);
+  EXPECT_EQ(state.resum_visits(), 0u);
+
+  state.CompleteRecv(static_cast<std::size_t>(state.BestRecv()));
+  EXPECT_GT(state.resum_visits(), 0u);
+  EXPECT_LE(state.resum_visits(), static_cast<std::uint64_t>(kRecvs));
+
+  // Later completions walk the 11, 10, ..., 1 members still outstanding.
+  while (state.remaining() > 0) {
+    state.CompleteRecv(static_cast<std::size_t>(state.BestRecv()));
+  }
+  EXPECT_EQ(state.resum_visits(),
+            static_cast<std::uint64_t>(kRecvs * (kRecvs + 1) / 2));
 }
 
 TEST(IncrementalProperties, TacSchedulesBitIdenticalOnRandomDags) {
@@ -137,14 +186,27 @@ TEST(IncrementalProperties, RootRecvsReportedAsRoots) {
 
 TEST(IncrementalProperties, TacSchedulesBitIdenticalOnZooModels) {
   const AnalyticalTimeOracle oracle{PlatformModel{}};
+  std::vector<Graph> graphs;
   for (const auto& info : models::ModelZoo()) {
     for (const bool training : {false, true}) {
-      const Graph g =
-          models::BuildWorkerGraph(info, {.training = training});
-      const PropertyIndex index(g);
-      ExpectSameSchedules(g, Tac(index, oracle),
-                          TacFullRecompute(index, oracle));
+      graphs.push_back(
+          models::BuildWorkerGraph(info, {.training = training}));
     }
+  }
+  // Chunked training graphs: hundreds of chunk recvs feeding few dep-set
+  // classes with many members each.
+  graphs.push_back(ChunkTransfers(
+      models::BuildWorkerGraph(models::FindModel("AlexNet v2"),
+                               {.training = true}),
+      {.max_chunk_bytes = 1 << 20}));
+  graphs.push_back(ChunkTransfers(
+      models::BuildWorkerGraph(models::FindModel("VGG-16"),
+                               {.training = true}),
+      {.max_chunk_bytes = 4 << 20}));
+  for (const Graph& g : graphs) {
+    const PropertyIndex index(g);
+    ExpectSameSchedules(g, Tac(index, oracle),
+                        TacFullRecompute(index, oracle));
   }
 }
 
