@@ -1,11 +1,12 @@
 // Lowering-path cost (DESIGN.md §10): the pass-based pipeline over the
 // arena-interned ir::Module against the frozen pre-IR implementation
-// (runtime/reference_lowering.h), plus the PropertyIndex build the
-// scheduling passes pay. The arena counters — interned pred-list pool
-// size vs the naive per-node layout, dedup hit rate — ride along into
-// BENCH_sched.json via bench/run_benches.sh, so layout regressions (an
-// accidental de-interning, a pass that stops sharing lists) show up in
-// the archived perf trajectory next to their runtime cost.
+// (tests/support/runtime/reference_lowering.h), plus the PropertyIndex
+// build the scheduling passes pay. The arena counters — interned
+// pred-list pool size vs the naive per-node layout, dedup hit rate —
+// ride along into BENCH_sched.json via bench/run_benches.sh, so layout
+// regressions (an accidental de-interning, a pass that stops sharing
+// lists) show up in the archived perf trajectory next to their runtime
+// cost.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -129,6 +130,46 @@ void BM_SharedClusterPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SharedClusterPipeline)->Unit(benchmark::kMillisecond);
+
+// One fabric of the 1000-job cluster sweep (DESIGN.md §11): 63 identical
+// AlexNet v2 training jobs, 2 workers x 1 PS each, TAC-scheduled against
+// the contended bandwidth (W_j / T of the NIC, runtime/multijob.h).
+std::vector<tictac::runtime::JobLoweringInput>& SweepFabricJobs() {
+  constexpr int kJobs = 63;
+  static Runner runner = [] {
+    tictac::runtime::ClusterConfig config = EnvG(2, 1, true);
+    config.platform.bandwidth_bps *= 2.0 / (2.0 * kJobs);
+    return Runner(tictac::models::FindModel("AlexNet v2"), config);
+  }();
+  static const tictac::core::Schedule schedule = runner.MakeSchedule("tac");
+  static std::vector<tictac::runtime::JobLoweringInput> jobs(
+      kJobs, {runner.worker_graph(), schedule, runner.ps_of_param(),
+              runner.config()});
+  return jobs;
+}
+
+void BM_SweepFabricReference(benchmark::State& state) {
+  const auto& jobs = SweepFabricJobs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tictac::runtime::reference::LowerSharedCluster(jobs));
+  }
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+}
+BENCHMARK(BM_SweepFabricReference)->Unit(benchmark::kMillisecond);
+
+void BM_SweepFabricPipeline(benchmark::State& state) {
+  const auto& jobs = SweepFabricJobs();
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    const auto lowering = tictac::runtime::LowerSharedCluster(jobs);
+    tasks = lowering.combined.tasks.size();
+    benchmark::DoNotOptimize(lowering);
+  }
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+  state.counters["tasks"] = static_cast<double>(tasks);
+}
+BENCHMARK(BM_SweepFabricPipeline)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,10 +1,13 @@
 #include "ir/lower.h"
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "ir/passes.h"
 #include "models/builder.h"
@@ -22,6 +25,94 @@ void RequireMerged(const Module& module, const char* exporter) {
   }
 }
 
+// Appends nodes [first, last) to `out` as tasks: ids, preds, workers and
+// gate groups shifted down by `first` / `base_w`, resources mapped by
+// `resource_of`, and preds on `gate` (a job's arrival delay) dropped. The
+// per-worker tables are sized exactly first, and with `ps_tables` the
+// iteration-0 update_task/worker_sink entries are filled in the same pass
+// (the last compute in emission order is a worker's sink).
+template <typename ResourceOf>
+void ExportTasks(const Module& module, NodeId first, NodeId last, int base_w,
+                 NodeId gate, bool ps_tables, ResourceOf resource_of,
+                 runtime::Lowering& out) {
+  struct Counts {
+    std::size_t tasks = 0, recvs = 0, params = 0;
+  };
+  std::vector<Counts> counts(out.worker_tasks.size());
+  for (NodeId n = first; n < last; ++n) {
+    if (module.worker(n) < 0) continue;
+    Counts& c = counts[static_cast<std::size_t>(module.worker(n) - base_w)];
+    ++c.tasks;
+    if (module.kind(n) == core::OpKind::kRecv) {
+      ++c.recvs;
+      c.params += module.iteration(n) == 0;
+    }
+  }
+  for (std::size_t w = 0; w < counts.size(); ++w) {
+    out.worker_tasks[w].reserve(counts[w].tasks);
+    out.worker_recv_tasks[w].reserve(counts[w].recvs);
+    out.transfer_param[w].reserve(counts[w].params);
+  }
+
+  out.tasks.resize(static_cast<std::size_t>(last - first));
+  for (NodeId n = first; n < last; ++n) {
+    const sim::TaskId id = n - first;
+    sim::Task& task = out.tasks[static_cast<std::size_t>(id)];
+    task.duration = module.duration(n);
+    task.resource = resource_of(module.resource(n));
+    task.priority = module.priority(n);
+    task.gate_group = module.gate_group(n) >= 0
+                          ? module.gate_group(n) - base_w
+                          : module.gate_group(n);
+    task.gate_rank = module.gate_rank(n);
+    const std::span<const NodeId> preds = module.preds(n);
+    task.preds.reserve(preds.size());
+    for (const NodeId p : preds) {
+      if (p != gate) task.preds.push_back(p - first);
+    }
+    task.op = module.op(n);
+    task.kind = module.kind(n);
+    task.worker =
+        module.worker(n) >= 0 ? module.worker(n) - base_w : module.worker(n);
+    const bool first_iteration = module.iteration(n) == 0;
+    if (task.worker >= 0) {
+      const auto w = static_cast<std::size_t>(task.worker);
+      out.worker_tasks[w].push_back(id);
+      if (task.kind == core::OpKind::kRecv) {
+        out.worker_recv_tasks[w].push_back(id);
+        // transfer_param is an iteration-0 table (pipelined lowerings
+        // keep the first iteration's copy, runtime/lowering.h).
+        if (first_iteration) out.transfer_param[w].push_back(module.param(n));
+      }
+    }
+    if (ps_tables && first_iteration) {
+      if (task.kind == core::OpKind::kUpdate) {
+        out.update_task[static_cast<std::size_t>(module.param(n))] = id;
+      } else if (task.kind == core::OpKind::kCompute && task.worker >= 0) {
+        out.worker_sink[static_cast<std::size_t>(task.worker)] = id;
+      }
+    }
+  }
+}
+
+// Empty per-worker tables for `workers` workers, plus the update/sink
+// tables (all -1) when `ps_tables`.
+runtime::Lowering EmptyLowering(int workers, int resources, bool ps_tables,
+                                std::size_t params) {
+  runtime::Lowering out;
+  out.num_workers = workers;
+  out.num_resources = resources;
+  const auto W = static_cast<std::size_t>(workers);
+  out.worker_tasks.resize(W);
+  out.worker_recv_tasks.resize(W);
+  out.transfer_param.resize(W);
+  if (ps_tables) {
+    out.update_task.assign(params, -1);
+    out.worker_sink.assign(W, -1);
+  }
+  return out;
+}
+
 // Reconstructs one job's own single-job Lowering — local task ids, local
 // resource space, no arrival gate — from its slice of the merged module.
 // The inverse of merge_jobs' remap + apply_arrival_offsets' delay edge.
@@ -32,13 +123,6 @@ runtime::Lowering ExportJobLocal(const Module& module, std::size_t j) {
   const int S = job.config.num_ps;
   const int T = module.total_workers;
   const int base_w = r.first_worker;
-
-  runtime::Lowering local;
-  local.num_workers = W;
-  local.num_resources = W + 2 * W * S + S;
-  local.worker_tasks.resize(static_cast<std::size_t>(W));
-  local.worker_recv_tasks.resize(static_cast<std::size_t>(W));
-  local.transfer_param.resize(static_cast<std::size_t>(W));
 
   const auto unmap_resource = [&](int res) {
     if (res < T) return res - base_w;  // worker computation
@@ -55,48 +139,10 @@ runtime::Lowering ExportJobLocal(const Module& module, std::size_t j) {
     return W + 2 * W * S + (res - T - 2 * T * S);  // PS CPU
   };
 
-  for (NodeId n = r.first; n < r.last; ++n) {
-    sim::Task task;
-    task.duration = module.duration(n);
-    task.resource = unmap_resource(module.resource(n));
-    task.priority = module.priority(n);
-    task.gate_group = module.gate_group(n) >= 0
-                          ? module.gate_group(n) - base_w
-                          : module.gate_group(n);
-    task.gate_rank = module.gate_rank(n);
-    for (const NodeId p : module.preds(n)) {
-      if (p == r.delay) continue;  // the arrival gate is combined-only
-      task.preds.push_back(p - r.first);
-    }
-    task.op = module.op(n);
-    task.kind = module.kind(n);
-    task.worker =
-        module.worker(n) >= 0 ? module.worker(n) - base_w : module.worker(n);
-    const int w = task.worker;
-    const sim::TaskId id = n - r.first;
-    if (w >= 0) {
-      local.worker_tasks[static_cast<std::size_t>(w)].push_back(id);
-      if (task.kind == core::OpKind::kRecv) {
-        local.worker_recv_tasks[static_cast<std::size_t>(w)].push_back(id);
-        local.transfer_param[static_cast<std::size_t>(w)].push_back(
-            module.param(n));
-      }
-    }
-    local.tasks.push_back(std::move(task));
-  }
-
-  local.update_task.assign(job.ps_of_param.size(), -1);
-  local.worker_sink.assign(static_cast<std::size_t>(W), -1);
-  for (NodeId n = r.first; n < r.last; ++n) {
-    if (module.kind(n) == core::OpKind::kUpdate) {
-      local.update_task[static_cast<std::size_t>(module.param(n))] =
-          n - r.first;
-    }
-    if (module.kind(n) == core::OpKind::kCompute && module.worker(n) >= 0) {
-      local.worker_sink[static_cast<std::size_t>(module.worker(n) - base_w)] =
-          n - r.first;  // last in emission order
-    }
-  }
+  runtime::Lowering local = EmptyLowering(W, W + 2 * W * S + S, true,
+                                          job.ps_of_param.size());
+  ExportTasks(module, r.first, r.last, base_w, r.delay, true, unmap_resource,
+              local);
   return local;
 }
 
@@ -121,24 +167,23 @@ void AppendStandardPasses(PassPipeline& pipeline, runtime::Topology topology,
 JobRange AppendLogicalNodes(Module& module, const core::Graph& graph,
                             int job) {
   JobRange r;
-  r.first = static_cast<NodeId>(module.size());
+  r.first = module.AddNodes(graph.size());
+  r.last = static_cast<NodeId>(module.size());
   std::vector<NodeId> buf;
+  NodeId n = r.first;
   for (const core::Op& op : graph.ops()) {
-    const NodeId n = module.AddNode();
     module.kind(n) = op.kind;
     module.op(n) = op.id;
     module.param(n) = op.param;
     module.bytes(n) = op.bytes;
     module.cost(n) = op.cost;
     module.job(n) = job;
-    module.SetName(n, op.name);
     buf.clear();
     for (const core::OpId p : graph.preds(op.id)) {
       buf.push_back(r.first + p);
     }
-    module.SetPreds(n, buf);
+    module.SetPreds(n++, buf);
   }
-  r.last = static_cast<NodeId>(module.size());
   return r;
 }
 
@@ -180,6 +225,9 @@ void ApplyScheduleAttrs(Module& module, std::size_t job,
 Module BuildLogicalModule(
     const std::vector<runtime::JobLoweringInput>& jobs) {
   Module module;
+  std::size_t nodes = 0;
+  for (const runtime::JobLoweringInput& job : jobs) nodes += job.graph.size();
+  module.Reserve(nodes);
   for (const runtime::JobLoweringInput& job : jobs) {
     JobInfo info;
     info.config = job.config;
@@ -243,58 +291,15 @@ PassPipeline FullLoweringPipeline(runtime::Topology topology,
 
 runtime::Lowering ToLowering(const Module& module) {
   RequireMerged(module, "ToLowering");
-  const int T = module.total_workers;
-  runtime::Lowering out;
-  out.num_workers = T;
-  out.num_resources = module.num_resources;
-  out.flow = module.flow;
-  out.worker_tasks.resize(static_cast<std::size_t>(T));
-  out.worker_recv_tasks.resize(static_cast<std::size_t>(T));
-  out.transfer_param.resize(static_cast<std::size_t>(T));
-
-  const auto n_all = static_cast<NodeId>(module.size());
-  out.tasks.reserve(module.size());
-  for (NodeId n = 0; n < n_all; ++n) {
-    sim::Task task;
-    task.duration = module.duration(n);
-    task.resource = module.resource(n);
-    task.priority = module.priority(n);
-    task.gate_group = module.gate_group(n);
-    task.gate_rank = module.gate_rank(n);
-    task.preds.assign(module.preds(n).begin(), module.preds(n).end());
-    task.op = module.op(n);
-    task.kind = module.kind(n);
-    task.worker = module.worker(n);
-    if (task.worker >= 0) {
-      const auto w = static_cast<std::size_t>(task.worker);
-      out.worker_tasks[w].push_back(n);
-      if (task.kind == core::OpKind::kRecv) {
-        out.worker_recv_tasks[w].push_back(n);
-        // transfer_param is an iteration-0 table (pipelined lowerings
-        // keep the first iteration's copy, runtime/lowering.h).
-        if (module.iteration(n) == 0) {
-          out.transfer_param[w].push_back(module.param(n));
-        }
-      }
-    }
-    out.tasks.push_back(std::move(task));
-  }
-
   // update_task/worker_sink are single-job PS tables (parameter indices
   // are per-job): ring and multi-job lowerings leave them empty.
-  if (module.jobs.size() == 1 && !module.ring) {
-    out.update_task.assign(module.jobs.front().ps_of_param.size(), -1);
-    out.worker_sink.assign(static_cast<std::size_t>(T), -1);
-    for (NodeId n = 0; n < n_all; ++n) {
-      if (module.iteration(n) != 0) continue;
-      if (module.kind(n) == core::OpKind::kUpdate) {
-        out.update_task[static_cast<std::size_t>(module.param(n))] = n;
-      }
-      if (module.kind(n) == core::OpKind::kCompute && module.worker(n) >= 0) {
-        out.worker_sink[static_cast<std::size_t>(module.worker(n))] = n;
-      }
-    }
-  }
+  const bool ps_tables = module.jobs.size() == 1 && !module.ring;
+  runtime::Lowering out = EmptyLowering(
+      module.total_workers, module.num_resources, ps_tables,
+      ps_tables ? module.jobs.front().ps_of_param.size() : 0);
+  out.flow = module.flow;
+  ExportTasks(module, 0, static_cast<NodeId>(module.size()), 0, kNoNode,
+              ps_tables, [](int res) { return res; }, out);
   return out;
 }
 

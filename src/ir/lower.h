@@ -6,8 +6,8 @@
 // The legacy entry points (runtime::LowerCluster / LowerPipeline /
 // LowerAllReduce / LowerSharedCluster) are thin wrappers over
 // BuildLogicalModule + StandardLoweringPipeline + an exporter, pinned
-// bit-identical to the frozen pre-IR implementations
-// (runtime/reference_lowering.h) by tests/ir_differential_test.cc.
+// bit-identical by tests/ir_differential_test.cc to the frozen pre-IR
+// implementations (tests/support/runtime/reference_lowering.h).
 // Composed scenarios — chunked + sharded + scheduled + multi-job +
 // pipelined in ONE pipeline invocation — go through
 // BuildModuleForSpec + FullLoweringPipeline (the `tictac_cli lower`

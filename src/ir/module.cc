@@ -1,6 +1,7 @@
 #include "ir/module.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <sstream>
 #include <stdexcept>
@@ -14,100 +15,111 @@ namespace {
   throw std::invalid_argument("ir: " + what);
 }
 
-std::uint64_t HashList(std::span<const NodeId> list) {
-  // FNV-1a over the raw ids; collisions are resolved by content compare.
+constexpr PredArena::ListId kFreeSlot = -1;
+
+// FNV-1a over the raw ids, folded to 32 bits: FNV's low bits depend only
+// on the ids' low bits, so the fold keeps lists that differ above the
+// table size out of one slot. Collisions are resolved by content compare.
+std::uint32_t HashList(std::span<const NodeId> list) {
   std::uint64_t h = 1469598103934665603ull;
   for (NodeId n : list) {
     h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(n));
     h *= 1099511628211ull;
   }
-  return h;
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
 const char* KindName(core::OpKind kind) {
-  switch (kind) {
-    case core::OpKind::kCompute:
-      return "compute";
-    case core::OpKind::kRecv:
-      return "recv";
-    case core::OpKind::kSend:
-      return "send";
-    case core::OpKind::kAggregate:
-      return "aggregate";
-    case core::OpKind::kRead:
-      return "read";
-    case core::OpKind::kUpdate:
-      return "update";
+  static constexpr const char* kNames[] = {"compute",   "recv", "send",
+                                           "aggregate", "read", "update"};
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
+// The op name of a kLogical node, from its job's graph; null otherwise.
+const std::string* LogicalName(const Module& m, NodeId n) {
+  const auto j = static_cast<std::size_t>(m.job(n));
+  if (m.stage != Stage::kLogical || j >= m.jobs.size() || !m.jobs[j].graph ||
+      static_cast<std::size_t>(m.op(n)) >= m.jobs[j].graph->size()) {
+    return nullptr;
   }
-  return "?";
+  return &m.jobs[j].graph->op(m.op(n)).name;
 }
 
 }  // namespace
 
 const char* ToString(Stage stage) {
-  switch (stage) {
-    case Stage::kLogical:
-      return "logical";
-    case Stage::kReplicated:
-      return "replicated";
-    case Stage::kLowered:
-      return "lowered";
-    case Stage::kMerged:
-      return "merged";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"logical", "replicated", "lowered",
+                                           "merged"};
+  return kNames[static_cast<std::size_t>(stage)];
 }
 
 PredArena::PredArena() {
   // Reserve id 0 for the empty list so default nodes need no index probe.
-  spans_.push_back(Span{0, 0});
-  index_[HashList({})].push_back(kEmptyList);
+  spans_.push_back(Span{});
+}
+
+void PredArena::Reserve(std::size_t lists) {
+  const std::size_t slots = std::bit_ceil(2 * lists);
+  if (slots > table_.size()) Rehash(slots);
+}
+
+void PredArena::Rehash(std::size_t slots) {
+  table_.assign(slots, kFreeSlot);
+  const std::size_t mask = slots - 1;
+  for (std::size_t id = 1; id < spans_.size(); ++id) {
+    std::size_t slot = spans_[id].hash & mask;
+    while (table_[slot] != kFreeSlot) slot = (slot + 1) & mask;
+    table_[slot] = static_cast<ListId>(id);
+  }
 }
 
 PredArena::ListId PredArena::Intern(std::span<const NodeId> list) {
-  const std::uint64_t h = HashList(list);
-  auto it = index_.find(h);
-  if (it != index_.end()) {
-    for (ListId candidate : it->second) {
-      std::span<const NodeId> existing = this->list(candidate);
-      if (existing.size() == list.size() &&
-          std::equal(existing.begin(), existing.end(), list.begin())) {
-        ++dedup_hits_;
-        return candidate;
-      }
+  if (list.empty()) {
+    ++dedup_hits_;
+    return kEmptyList;
+  }
+  // Load <= 1/2 once this list is in (id 0 is never in the table).
+  if (2 * spans_.size() > table_.size()) {
+    Rehash(std::max<std::size_t>(16, 2 * table_.size()));
+  }
+  const std::uint32_t h = HashList(list);
+  const std::size_t mask = table_.size() - 1;
+  std::size_t slot = h & mask;
+  for (; table_[slot] != kFreeSlot; slot = (slot + 1) & mask) {
+    const ListId candidate = table_[slot];
+    const Span& s = spans_[static_cast<std::size_t>(candidate)];
+    if (s.hash == h && s.size == list.size() &&
+        std::equal(list.begin(), list.end(), pool_.begin() + s.offset)) {
+      ++dedup_hits_;
+      return candidate;
     }
   }
-  Span s;
-  s.offset = static_cast<std::uint32_t>(pool_.size());
-  s.size = static_cast<std::uint32_t>(list.size());
-  pool_.insert(pool_.end(), list.begin(), list.end());
   const ListId id = static_cast<ListId>(spans_.size());
-  spans_.push_back(s);
-  index_[h].push_back(id);
+  spans_.push_back(Span{static_cast<std::uint32_t>(pool_.size()),
+                        static_cast<std::uint32_t>(list.size()), h});
+  pool_.insert(pool_.end(), list.begin(), list.end());
+  table_[slot] = id;
   return id;
 }
 
-NodeId Module::AddNode() {
-  const NodeId id = static_cast<NodeId>(size());
-  duration_.push_back(0.0);
-  resource_.push_back(-1);
-  priority_.push_back(sim::kNoPriority);
-  gate_group_.push_back(-1);
-  gate_rank_.push_back(-1);
-  pred_list_.push_back(PredArena::kEmptyList);
-  kind_.push_back(core::OpKind::kCompute);
-  op_.push_back(core::kInvalidOp);
-  worker_.push_back(-1);
-  job_.push_back(-1);
-  iteration_.push_back(0);
-  param_.push_back(-1);
-  bytes_.push_back(0);
-  cost_.push_back(0.0);
-  rank_.push_back(kNoRank);
-  sched_priority_.push_back(sim::kNoPriority);
-  delay_.push_back(0);
-  name_.emplace_back();
-  return id;
+NodeId Module::AddNodes(std::size_t count) {
+  const NodeId first = static_cast<NodeId>(size());
+  hot_.resize(size() + count);
+  attrs_.resize(size());
+  return first;
+}
+
+void Module::Reserve(std::size_t nodes) {
+  hot_.reserve(nodes);
+  attrs_.reserve(nodes);
+  arena_.Reserve(nodes);
+}
+
+void Module::CopyAttrs(NodeId n, const Module& src, NodeId from) {
+  const PredArena::ListId preds = hot_[idx(n)].preds;
+  hot_[idx(n)] = src.hot_[idx(from)];
+  hot_[idx(n)].preds = preds;
+  attrs_[idx(n)] = src.attrs_[idx(from)];
 }
 
 void Module::Validate() const {
@@ -117,7 +129,6 @@ void Module::Validate() const {
          " jobs vs " + std::to_string(ranges.size()) + " ranges");
   }
   // Ranges partition [0, n) in order, with delay nodes in the gaps.
-  std::vector<int> owner(static_cast<std::size_t>(n), -1);
   NodeId cursor = 0;
   for (std::size_t j = 0; j < ranges.size(); ++j) {
     const JobRange& r = ranges[j];
@@ -134,16 +145,12 @@ void Module::Validate() const {
         Fail("job " + std::to_string(j) +
              " delay node lacks the is_delay attribute");
       }
-      owner[static_cast<std::size_t>(r.delay)] = static_cast<int>(j);
       cursor = r.delay + 1;
     }
     if (r.first != cursor) {
       Fail("job ranges must tile the module: job " + std::to_string(j) +
            " starts at " + std::to_string(r.first) + ", expected " +
            std::to_string(cursor));
-    }
-    for (NodeId t = r.first; t < r.last; ++t) {
-      owner[static_cast<std::size_t>(t)] = static_cast<int>(j);
     }
     cursor = r.last;
   }
@@ -153,21 +160,20 @@ void Module::Validate() const {
   }
   const bool lowered = stage == Stage::kLowered || stage == Stage::kMerged;
   for (NodeId t = 0; t < n; ++t) {
-    if (!(duration_[idx(t)] >= 0.0) ||
-        duration_[idx(t)] != duration_[idx(t)]) {
+    if (!(duration(t) >= 0.0) || duration(t) != duration(t)) {
       Fail("node " + std::to_string(t) + " has a negative or NaN duration");
     }
     if (lowered) {
-      if (resource_[idx(t)] < 0) {
+      if (resource(t) < 0) {
         Fail("node " + std::to_string(t) + " has no resource at stage " +
              std::string(ToString(stage)));
       }
-      if (stage == Stage::kMerged && resource_[idx(t)] >= num_resources) {
+      if (stage == Stage::kMerged && resource(t) >= num_resources) {
         Fail("node " + std::to_string(t) + " resource " +
-             std::to_string(resource_[idx(t)]) + " is outside [0, " +
+             std::to_string(resource(t)) + " is outside [0, " +
              std::to_string(num_resources) + ")");
       }
-    } else if (resource_[idx(t)] != -1) {
+    } else if (resource(t) != -1) {
       Fail("node " + std::to_string(t) + " has a resource at stage " +
            std::string(ToString(stage)) + " (passes assign resources when "
            "lowering)");
@@ -181,7 +187,7 @@ void Module::Validate() const {
         Fail("node " + std::to_string(t) + " depends on itself");
       }
     }
-    if ((gate_group_[idx(t)] >= 0) != (gate_rank_[idx(t)] >= 0)) {
+    if ((gate_group(t) >= 0) != (gate_rank(t) >= 0)) {
       Fail("node " + std::to_string(t) +
            " sets only one of gate_group/gate_rank");
     }
@@ -221,7 +227,7 @@ void Module::Validate() const {
 std::string Module::DebugSummary() const {
   std::size_t per_kind[6] = {};
   for (std::size_t i = 0; i < size(); ++i) {
-    per_kind[static_cast<std::size_t>(kind_[i])]++;
+    per_kind[static_cast<std::size_t>(attrs_[i].kind)]++;
   }
   std::ostringstream out;
   out << "ir::Module{stage=" << ToString(stage) << ", nodes=" << size()
@@ -250,7 +256,8 @@ std::string Module::DebugDump(std::size_t max_nodes) const {
   for (std::size_t i = 0; i < shown; ++i) {
     const NodeId t = static_cast<NodeId>(i);
     out << "  %" << t << " " << KindName(kind(t));
-    if (!name(t).empty()) out << " \"" << name(t) << "\"";
+    const std::string* name = LogicalName(*this, t);
+    if (name && !name->empty()) out << " \"" << *name << "\"";
     out << " job=" << job(t);
     if (worker(t) >= 0) out << " w=" << worker(t);
     if (param(t) >= 0) out << " p=" << param(t);

@@ -34,7 +34,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/graph.h"
@@ -52,12 +51,22 @@ inline constexpr int kNoRank = -1;
 // Content-interned predecessor-list arena: a CSR pool of NodeIds plus a
 // dedupe index, so identical lists are stored once and a node holds only
 // a ListId. The empty list is always id 0.
+//
+// The index is an open-addressing table of ListIds (linear probing,
+// power-of-two size, load <= 1/2) over each list's cached content hash;
+// a probe hit is confirmed by a full compare. Ids are handed out in
+// first-intern order, so they — and the counters — do not depend on the
+// table's size or probe order.
 class PredArena {
  public:
   using ListId = std::int32_t;
   static constexpr ListId kEmptyList = 0;
 
   PredArena();
+
+  // Presizes the index for `lists` distinct lists (a pass that knows its
+  // node count passes it: no node interns more than one new list).
+  void Reserve(std::size_t lists);
 
   // Returns the id of an existing identical list, or appends the list to
   // the pool and returns its fresh id.
@@ -79,11 +88,16 @@ class PredArena {
   struct Span {
     std::uint32_t offset = 0;
     std::uint32_t size = 0;
+    std::uint32_t hash = 0;  // content hash; its low bits pick the slot
   };
+  // Re-buckets every list into a table of `slots` (a power of two).
+  void Rehash(std::size_t slots);
+
   std::vector<NodeId> pool_;
   std::vector<Span> spans_;
-  // Content hash -> candidate list ids (collisions resolved by compare).
-  std::unordered_map<std::uint64_t, std::vector<ListId>> index_;
+  // Open-addressing slots holding ListIds; kFreeSlot marks an empty one.
+  // The empty list never enters the table (Intern answers it directly).
+  std::vector<ListId> table_;
   std::size_t dedup_hits_ = 0;
 };
 
@@ -134,59 +148,64 @@ class Module {
 
   // Appends a default node (duration 0, no resource, no priority, empty
   // preds, provenance unset) and returns its id.
-  NodeId AddNode();
-  std::size_t size() const { return duration_.size(); }
+  NodeId AddNode() { return AddNodes(1); }
+  // Appends `count` default nodes in one step per column and returns the
+  // first new id.
+  NodeId AddNodes(std::size_t count);
+  // Presizes the columns and the arena index for `nodes` nodes in total.
+  void Reserve(std::size_t nodes);
+  std::size_t size() const { return hot_.size(); }
 
   // --- hot task fields (what the simulator consumes) ----------------------
 
-  double& duration(NodeId n) { return duration_[idx(n)]; }
-  double duration(NodeId n) const { return duration_[idx(n)]; }
-  int& resource(NodeId n) { return resource_[idx(n)]; }
-  int resource(NodeId n) const { return resource_[idx(n)]; }
-  int& priority(NodeId n) { return priority_[idx(n)]; }
-  int priority(NodeId n) const { return priority_[idx(n)]; }
-  int& gate_group(NodeId n) { return gate_group_[idx(n)]; }
-  int gate_group(NodeId n) const { return gate_group_[idx(n)]; }
-  int& gate_rank(NodeId n) { return gate_rank_[idx(n)]; }
-  int gate_rank(NodeId n) const { return gate_rank_[idx(n)]; }
+  double& duration(NodeId n) { return hot_[idx(n)].duration; }
+  double duration(NodeId n) const { return hot_[idx(n)].duration; }
+  int& resource(NodeId n) { return hot_[idx(n)].resource; }
+  int resource(NodeId n) const { return hot_[idx(n)].resource; }
+  int& priority(NodeId n) { return hot_[idx(n)].priority; }
+  int priority(NodeId n) const { return hot_[idx(n)].priority; }
+  int& gate_group(NodeId n) { return hot_[idx(n)].gate_group; }
+  int gate_group(NodeId n) const { return hot_[idx(n)].gate_group; }
+  int& gate_rank(NodeId n) { return hot_[idx(n)].gate_rank; }
+  int gate_rank(NodeId n) const { return hot_[idx(n)].gate_rank; }
 
   void SetPreds(NodeId n, std::span<const NodeId> preds) {
-    pred_list_[idx(n)] = arena_.Intern(preds);
+    hot_[idx(n)].preds = arena_.Intern(preds);
   }
   std::span<const NodeId> preds(NodeId n) const {
-    return arena_.list(pred_list_[idx(n)]);
+    return arena_.list(hot_[idx(n)].preds);
   }
 
   // --- side-table attributes (provenance; never read by the engine) -------
 
-  core::OpKind& kind(NodeId n) { return kind_[idx(n)]; }
-  core::OpKind kind(NodeId n) const { return kind_[idx(n)]; }
-  core::OpId& op(NodeId n) { return op_[idx(n)]; }
-  core::OpId op(NodeId n) const { return op_[idx(n)]; }
-  int& worker(NodeId n) { return worker_[idx(n)]; }
-  int worker(NodeId n) const { return worker_[idx(n)]; }
-  int& job(NodeId n) { return job_[idx(n)]; }
-  int job(NodeId n) const { return job_[idx(n)]; }
-  int& iteration(NodeId n) { return iteration_[idx(n)]; }
-  int iteration(NodeId n) const { return iteration_[idx(n)]; }
-  int& param(NodeId n) { return param_[idx(n)]; }
-  int param(NodeId n) const { return param_[idx(n)]; }
-  std::int64_t& bytes(NodeId n) { return bytes_[idx(n)]; }
-  std::int64_t bytes(NodeId n) const { return bytes_[idx(n)]; }
-  double& cost(NodeId n) { return cost_[idx(n)]; }
-  double cost(NodeId n) const { return cost_[idx(n)]; }
+  core::OpKind& kind(NodeId n) { return attrs_[idx(n)].kind; }
+  core::OpKind kind(NodeId n) const { return attrs_[idx(n)].kind; }
+  core::OpId& op(NodeId n) { return attrs_[idx(n)].op; }
+  core::OpId op(NodeId n) const { return attrs_[idx(n)].op; }
+  int& worker(NodeId n) { return attrs_[idx(n)].worker; }
+  int worker(NodeId n) const { return attrs_[idx(n)].worker; }
+  int& job(NodeId n) { return attrs_[idx(n)].job; }
+  int job(NodeId n) const { return attrs_[idx(n)].job; }
+  int& iteration(NodeId n) { return attrs_[idx(n)].iteration; }
+  int iteration(NodeId n) const { return attrs_[idx(n)].iteration; }
+  int& param(NodeId n) { return attrs_[idx(n)].param; }
+  int param(NodeId n) const { return attrs_[idx(n)].param; }
+  std::int64_t& bytes(NodeId n) { return attrs_[idx(n)].bytes; }
+  std::int64_t bytes(NodeId n) const { return attrs_[idx(n)].bytes; }
+  double& cost(NodeId n) { return attrs_[idx(n)].cost; }
+  double cost(NodeId n) const { return attrs_[idx(n)].cost; }
   // Normalized recv rank (§5.1 total order), kNoRank when unscheduled.
-  int& rank(NodeId n) { return rank_[idx(n)]; }
-  int rank(NodeId n) const { return rank_[idx(n)]; }
+  int& rank(NodeId n) { return attrs_[idx(n)].rank; }
+  int rank(NodeId n) const { return attrs_[idx(n)].rank; }
   // Raw schedule priority for best-effort send ordering.
-  int& sched_priority(NodeId n) { return sched_priority_[idx(n)]; }
-  int sched_priority(NodeId n) const { return sched_priority_[idx(n)]; }
-  bool is_delay(NodeId n) const { return delay_[idx(n)] != 0; }
-  void set_is_delay(NodeId n, bool value) { delay_[idx(n)] = value ? 1 : 0; }
-  // Logical op names (needed only to export a core::Graph; replicas drop
-  // them).
-  void SetName(NodeId n, std::string name) { name_[idx(n)] = std::move(name); }
-  const std::string& name(NodeId n) const { return name_[idx(n)]; }
+  int& sched_priority(NodeId n) { return attrs_[idx(n)].sched_priority; }
+  int sched_priority(NodeId n) const { return attrs_[idx(n)].sched_priority; }
+  bool is_delay(NodeId n) const { return attrs_[idx(n)].delay; }
+  void set_is_delay(NodeId n, bool value) { attrs_[idx(n)].delay = value; }
+
+  // Copies every attribute of `src`'s node `from` except its preds onto
+  // node `n` (preds are ids in `src`'s numbering; passes re-wire them).
+  void CopyAttrs(NodeId n, const Module& src, NodeId from);
 
   // --- module-level state -------------------------------------------------
 
@@ -223,31 +242,39 @@ class Module {
 
   // One-line counts (nodes per kind, jobs, stage, arena dedup stats).
   std::string DebugSummary() const;
-  // Per-node listing of the first `max_nodes` nodes, for dump hooks.
+  // Per-node listing of the first `max_nodes` nodes, for dump hooks. At
+  // kLogical each node also shows its op's name, read from its job's graph.
   std::string DebugDump(std::size_t max_nodes = 64) const;
 
  private:
   std::size_t idx(NodeId n) const { return static_cast<std::size_t>(n); }
 
-  std::vector<double> duration_;
-  std::vector<int> resource_;
-  std::vector<int> priority_;
-  std::vector<int> gate_group_;
-  std::vector<int> gate_rank_;
-  std::vector<PredArena::ListId> pred_list_;
-
-  std::vector<core::OpKind> kind_;
-  std::vector<core::OpId> op_;
-  std::vector<int> worker_;
-  std::vector<int> job_;
-  std::vector<int> iteration_;
-  std::vector<int> param_;
-  std::vector<std::int64_t> bytes_;
-  std::vector<double> cost_;
-  std::vector<int> rank_;
-  std::vector<int> sched_priority_;
-  std::vector<std::uint8_t> delay_;
-  std::vector<std::string> name_;
+  // Storage is two flat per-node record arrays: what the simulator
+  // consumes, and the provenance side table. Passes write and copy a
+  // node's fields together, so each record is stored together.
+  struct Hot {
+    double duration = 0.0;
+    int resource = -1;
+    int priority = sim::kNoPriority;
+    int gate_group = -1;
+    int gate_rank = -1;
+    PredArena::ListId preds = PredArena::kEmptyList;
+  };
+  struct Attrs {
+    std::int64_t bytes = 0;
+    double cost = 0.0;
+    core::OpId op = core::kInvalidOp;
+    int worker = -1;
+    int job = -1;
+    int iteration = 0;
+    int param = -1;
+    int rank = kNoRank;
+    int sched_priority = sim::kNoPriority;
+    core::OpKind kind = core::OpKind::kCompute;
+    bool delay = false;
+  };
+  std::vector<Hot> hot_;
+  std::vector<Attrs> attrs_;
 
   PredArena arena_;
 };

@@ -137,6 +137,13 @@ class ExpandReplicasPass final : public Pass {
     Module out;
     out.stage = Stage::kReplicated;
     out.jobs = module.jobs;
+    std::size_t nodes = 0;
+    for (std::size_t j = 0; j < module.jobs.size(); ++j) {
+      nodes += static_cast<std::size_t>(module.ranges[j].last -
+                                        module.ranges[j].first) *
+               static_cast<std::size_t>(module.jobs[j].config.num_workers);
+    }
+    out.Reserve(nodes);
 
     std::vector<NodeId> buf;
     for (std::size_t j = 0; j < module.jobs.size(); ++j) {
@@ -160,7 +167,8 @@ class ExpandReplicasPass final : public Pass {
         pos_of[static_cast<std::size_t>(topo[pos])] = pos;
       }
 
-      const NodeId first = static_cast<NodeId>(out.size());
+      const NodeId first = out.AddNodes(static_cast<std::size_t>(W) * V);
+      NodeId n = first;
       for (int w = 0; w < W; ++w) {
         const NodeId worker_base =
             first + static_cast<NodeId>(static_cast<std::size_t>(w) * V);
@@ -175,14 +183,8 @@ class ExpandReplicasPass final : public Pass {
               throw std::invalid_argument(
                   "worker partition may only hold compute/recv/send ops");
           }
-          const NodeId n = out.AddNode();
-          out.kind(n) = module.kind(src);
+          out.CopyAttrs(n, module, src);
           out.op(n) = op_id;
-          out.param(n) = module.param(src);
-          out.bytes(n) = module.bytes(src);
-          out.cost(n) = module.cost(src);
-          out.rank(n) = module.rank(src);
-          out.sched_priority(n) = module.sched_priority(src);
           out.worker(n) = w;
           out.job(n) = static_cast<int>(j);
           buf.clear();
@@ -191,11 +193,10 @@ class ExpandReplicasPass final : public Pass {
                           static_cast<NodeId>(
                               pos_of[static_cast<std::size_t>(p - r.first)]));
           }
-          out.SetPreds(n, buf);
+          out.SetPreds(n++, buf);
         }
       }
-      out.ranges.push_back(
-          JobRange{first, static_cast<NodeId>(out.size()), kNoNode, 0});
+      out.ranges.push_back(JobRange{first, n, kNoNode, 0});
       out.jobs[j].graph.reset();  // the logical stage ends here
     }
     module = std::move(out);
@@ -213,6 +214,10 @@ class LowerPsFabricPass final : public Pass {
     Module out;
     out.stage = Stage::kLowered;
     out.jobs = module.jobs;
+    // Upper bound: every replica, plus read/aggregate/update per param.
+    std::size_t nodes = module.size();
+    for (const JobInfo& job : module.jobs) nodes += 3 * job.ps_of_param.size();
+    out.Reserve(nodes);
 
     std::vector<NodeId> buf;
     for (std::size_t j = 0; j < module.jobs.size(); ++j) {
@@ -248,19 +253,18 @@ class LowerPsFabricPass final : public Pass {
         return ps_of_param[static_cast<std::size_t>(param)];
       };
 
-      const NodeId first = static_cast<NodeId>(out.size());
+      const NodeId first =
+          out.AddNodes(static_cast<std::size_t>(P + (r.last - r.first)));
 
       // PS-side read ops: parameters become available for sending at
       // iteration start (the PS activates all sends up front, §2.2).
-      std::vector<NodeId> read_node(static_cast<std::size_t>(P));
       for (int p = 0; p < P; ++p) {
-        const NodeId n = out.AddNode();
+        const NodeId n = first + p;
         out.duration(n) = hw.ps_op_time_s;
         out.resource(n) = ps_cpu(ps_for(p));
         out.kind(n) = core::OpKind::kRead;
         out.param(n) = p;
         out.job(n) = static_cast<int>(j);
-        read_node[static_cast<std::size_t>(p)] = n;
       }
 
       const bool scheduled = job.scheduled;
@@ -273,15 +277,8 @@ class LowerPsFabricPass final : public Pass {
       for (NodeId src = r.first; src < r.last; ++src) {
         const int w = module.worker(src);
         const core::OpKind kind = module.kind(src);
-        const NodeId n = out.AddNode();
-        out.kind(n) = kind;
-        out.op(n) = module.op(src);
-        out.param(n) = module.param(src);
-        out.bytes(n) = module.bytes(src);
-        out.cost(n) = module.cost(src);
-        out.rank(n) = module.rank(src);
-        out.sched_priority(n) = module.sched_priority(src);
-        out.worker(n) = w;
+        const NodeId n = src + delta;
+        out.CopyAttrs(n, module, src);
         out.job(n) = static_cast<int>(j);
         buf.clear();
         switch (kind) {
@@ -289,8 +286,7 @@ class LowerPsFabricPass final : public Pass {
             const int s = ps_for(module.param(src));
             out.resource(n) = downlink(w, s);
             out.duration(n) = transfer_time(module.bytes(src));
-            buf.push_back(
-                read_node[static_cast<std::size_t>(module.param(src))]);
+            buf.push_back(first + module.param(src));  // its read
             if (scheduled) {
               // The channel serves transfers in hand-off order (gRPC
               // FIFO), so the wire priority is the normalized rank — the
@@ -392,25 +388,29 @@ class LowerPsFabricPass final : public Pass {
             }
           }
         }
+        std::size_t with_gradient = 0;  // frozen parameters get none
+        for (const auto& sends : sends_of_param) {
+          with_gradient += !sends.empty();
+        }
+        NodeId n = out.AddNodes(2 * with_gradient);
         for (int p = 0; p < P; ++p) {
           const auto& sends = sends_of_param[static_cast<std::size_t>(p)];
-          if (sends.empty()) continue;  // parameter without gradient (frozen)
-          const NodeId agg = out.AddNode();
-          out.duration(agg) = hw.ps_op_time_s;
-          out.resource(agg) = ps_cpu(ps_for(p));
-          out.kind(agg) = core::OpKind::kAggregate;
-          out.param(agg) = p;
-          out.job(agg) = static_cast<int>(j);
-          out.SetPreds(agg, sends);
-
-          const NodeId upd = out.AddNode();
-          out.duration(upd) = hw.ps_op_time_s;
-          out.resource(upd) = ps_cpu(ps_for(p));
-          out.kind(upd) = core::OpKind::kUpdate;
-          out.param(upd) = p;
-          out.job(upd) = static_cast<int>(j);
-          buf.assign(1, agg);
-          out.SetPreds(upd, buf);
+          if (sends.empty()) continue;
+          for (const core::OpKind kind :
+               {core::OpKind::kAggregate, core::OpKind::kUpdate}) {
+            out.duration(n) = hw.ps_op_time_s;
+            out.resource(n) = ps_cpu(ps_for(p));
+            out.kind(n) = kind;
+            out.param(n) = p;
+            out.job(n) = static_cast<int>(j);
+            if (kind == core::OpKind::kAggregate) {
+              out.SetPreds(n, sends);
+            } else {
+              buf.assign(1, n - 1);  // its aggregate
+              out.SetPreds(n, buf);
+            }
+            ++n;
+          }
         }
       }
       out.ranges.push_back(
@@ -640,6 +640,8 @@ class ApplyArrivalOffsetsPass final : public Pass {
     out.flow = module.flow;  // delay resources are appended past the
                              // fabric block, so the capacity graph holds
 
+    out.Reserve(module.size() + module.jobs.size());
+
     std::vector<NodeId> buf;
     int delay_resources = 0;
     for (std::size_t j = 0; j < module.jobs.size(); ++j) {
@@ -657,24 +659,11 @@ class ApplyArrivalOffsetsPass final : public Pass {
         ++delay_resources;
         moved.delay = delay;
       }
-      moved.first = static_cast<NodeId>(out.size());
+      moved.first = out.AddNodes(static_cast<std::size_t>(r.last - r.first));
       const NodeId delta = moved.first - r.first;
       for (NodeId src = r.first; src < r.last; ++src) {
-        const NodeId n = out.AddNode();
-        out.duration(n) = module.duration(src);
-        out.resource(n) = module.resource(src);
-        out.priority(n) = module.priority(src);
-        out.gate_group(n) = module.gate_group(src);
-        out.gate_rank(n) = module.gate_rank(src);
-        out.kind(n) = module.kind(src);
-        out.op(n) = module.op(src);
-        out.worker(n) = module.worker(src);
-        out.job(n) = module.job(src);
-        out.param(n) = module.param(src);
-        out.bytes(n) = module.bytes(src);
-        out.cost(n) = module.cost(src);
-        out.rank(n) = module.rank(src);
-        out.sched_priority(n) = module.sched_priority(src);
+        const NodeId n = src + delta;
+        out.CopyAttrs(n, module, src);
         buf.clear();
         for (const NodeId p : module.preds(src)) buf.push_back(p + delta);
         if (buf.empty() && moved.delay != kNoNode) buf.push_back(moved.delay);
@@ -826,59 +815,39 @@ class PipelineItersPass final : public Pass {
       ids_prev[static_cast<std::size_t>(t)] = t;
     }
 
+    NodeId delays = 0;
+    for (NodeId t = 0; t < n0; ++t) delays += module.is_delay(t);
+    const auto per_iteration = static_cast<std::size_t>(n0 - delays);
+    module.Reserve(module.size() +
+                   static_cast<std::size_t>(iterations_ - 1) * per_iteration);
+
     std::vector<NodeId> buf;
-    std::vector<NodeId> src_preds;
     for (int k = 1; k < iterations_; ++k) {
       // Ids first (chain edges may point forward in emission order).
-      NodeId next = static_cast<NodeId>(module.size());
+      NodeId next = module.AddNodes(per_iteration);
       for (NodeId t = 0; t < n0; ++t) {
         ids_cur[static_cast<std::size_t>(t)] =
             module.is_delay(t) ? t : next++;
       }
       for (NodeId t = 0; t < n0; ++t) {
         if (module.is_delay(t)) continue;
-        // Copy the span out before AddNode: the arena pool may
-        // reallocate under the new node's own SetPreds.
-        src_preds.assign(module.preds(t).begin(), module.preds(t).end());
-        const double duration = module.duration(t);
-        const int resource = module.resource(t);
-        const int priority = module.priority(t);
-        const int gate_group = module.gate_group(t);
-        const int gate_rank = module.gate_rank(t);
+        const NodeId n = ids_cur[static_cast<std::size_t>(t)];
+        module.CopyAttrs(n, module, t);
+        module.iteration(n) = k;
+        // Enforcement counters reset each iteration (§5.1): distinct
+        // gate group per (worker, iteration).
+        if (module.gate_group(n) >= 0) module.gate_group(n) += k * Wt;
+
+        // buf is complete before SetPreds, which may grow the pool the
+        // source span points into.
+        buf.clear();
+        for (const NodeId p : module.preds(t)) {
+          buf.push_back(ids_cur[static_cast<std::size_t>(p)]);
+        }
         const core::OpKind kind = module.kind(t);
-        const core::OpId op = module.op(t);
         const int worker = module.worker(t);
         const int job = module.job(t);
         const int param = module.param(t);
-        const std::int64_t bytes = module.bytes(t);
-        const double cost = module.cost(t);
-        const int rank = module.rank(t);
-        const int sched_priority = module.sched_priority(t);
-
-        const NodeId n = module.AddNode();
-        module.duration(n) = duration;
-        module.resource(n) = resource;
-        module.priority(n) = priority;
-        // Enforcement counters reset each iteration (§5.1): distinct
-        // gate group per (worker, iteration).
-        module.gate_group(n) = gate_group >= 0 ? gate_group + k * Wt
-                                               : gate_group;
-        module.gate_rank(n) = gate_rank;
-        module.kind(n) = kind;
-        module.op(n) = op;
-        module.worker(n) = worker;
-        module.job(n) = job;
-        module.iteration(n) = k;
-        module.param(n) = param;
-        module.bytes(n) = bytes;
-        module.cost(n) = cost;
-        module.rank(n) = rank;
-        module.sched_priority(n) = sched_priority;
-
-        buf.clear();
-        for (const NodeId p : src_preds) {
-          buf.push_back(ids_cur[static_cast<std::size_t>(p)]);
-        }
         if (kind == core::OpKind::kRecv && worker >= 0) {
           const auto& upd = update_of[static_cast<std::size_t>(job)];
           const NodeId stitched =
@@ -964,38 +933,23 @@ std::shared_ptr<const Pass> MakeLowerFlowNicsPass(
 
 // Called once by PassRegistry::Global().
 void RegisterBuiltinPasses(PassRegistry& registry) {
-  registry.Register("chunk_transfers", [](const std::string& arg) {
-    RejectArg("chunk_transfers", arg);
-    return MakeChunkTransfersPass();
-  });
-  registry.Register("shard_params", [](const std::string& arg) {
-    RejectArg("shard_params", arg);
-    return MakeShardParamsPass();
-  });
-  registry.Register("compute_schedules", [](const std::string& arg) {
-    RejectArg("compute_schedules", arg);
-    return MakeComputeSchedulesPass();
-  });
-  registry.Register("expand_replicas", [](const std::string& arg) {
-    RejectArg("expand_replicas", arg);
-    return MakeExpandReplicasPass();
-  });
-  registry.Register("lower_ps_fabric", [](const std::string& arg) {
-    RejectArg("lower_ps_fabric", arg);
-    return MakeLowerPsFabricPass();
-  });
-  registry.Register("lower_allreduce_ring", [](const std::string& arg) {
-    RejectArg("lower_allreduce_ring", arg);
-    return MakeLowerAllreduceRingPass();
-  });
-  registry.Register("merge_jobs", [](const std::string& arg) {
-    RejectArg("merge_jobs", arg);
-    return MakeMergeJobsPass();
-  });
-  registry.Register("apply_arrival_offsets", [](const std::string& arg) {
-    RejectArg("apply_arrival_offsets", arg);
-    return MakeApplyArrivalOffsetsPass();
-  });
+  using Factory = std::shared_ptr<const Pass> (*)();
+  const std::pair<const char*, Factory> argless[] = {
+      {"chunk_transfers", MakeChunkTransfersPass},
+      {"shard_params", MakeShardParamsPass},
+      {"compute_schedules", MakeComputeSchedulesPass},
+      {"expand_replicas", MakeExpandReplicasPass},
+      {"lower_ps_fabric", MakeLowerPsFabricPass},
+      {"lower_allreduce_ring", MakeLowerAllreduceRingPass},
+      {"merge_jobs", MakeMergeJobsPass},
+      {"apply_arrival_offsets", MakeApplyArrivalOffsetsPass},
+  };
+  for (const auto& [name, make] : argless) {
+    registry.Register(name, [name, make](const std::string& arg) {
+      RejectArg(name, arg);
+      return make();
+    });
+  }
   registry.Register("pipeline_iters", [](const std::string& arg) {
     const long long k = ParsePassArgInt("pipeline_iters", arg);
     if (k < 1 || k > std::numeric_limits<int>::max()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "models/zoo.h"
 #include "sim/flow.h"
@@ -191,29 +192,35 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
         merged_options_, seed + static_cast<std::uint64_t>(i),
         options_.num_threads);
     makespan_sum += run.makespan;
+    // Bucket start_order by fabric in one pass (fabric-local ids), then
+    // cut each fabric's task range back out so the per-fabric slices
+    // apply unchanged.
+    std::vector<std::vector<sim::TaskId>> fabric_order(fabrics_.size());
+    for (std::size_t f = 0; f < fabrics_.size(); ++f) {
+      fabric_order[f].reserve(
+          static_cast<std::size_t>(task_base_[f + 1] - task_base_[f]));
+    }
+    for (const sim::TaskId t : run.start_order) {
+      const auto f = static_cast<std::size_t>(
+          std::upper_bound(task_base_.begin(), task_base_.end(), t) -
+          task_base_.begin() - 1);
+      fabric_order[f].push_back(t - task_base_[f]);
+    }
     std::size_t g = 0;
     for (std::size_t f = 0; f < fabrics_.size(); ++f) {
-      // Cut the fabric's task range back out so the per-fabric slices
-      // (fabric-local task ids) apply unchanged.
-      const auto first = static_cast<std::size_t>(task_base_[f]);
-      const auto last = static_cast<std::size_t>(task_base_[f + 1]);
+      const auto first = static_cast<std::ptrdiff_t>(task_base_[f]);
+      const auto last = static_cast<std::ptrdiff_t>(task_base_[f + 1]);
       sim::SimResult fabric_run;
-      fabric_run.start.assign(
-          run.start.begin() + static_cast<std::ptrdiff_t>(first),
-          run.start.begin() + static_cast<std::ptrdiff_t>(last));
-      fabric_run.end.assign(
-          run.end.begin() + static_cast<std::ptrdiff_t>(first),
-          run.end.begin() + static_cast<std::ptrdiff_t>(last));
-      for (const sim::TaskId t : run.start_order) {
-        if (t >= task_base_[f] && t < task_base_[f + 1]) {
-          fabric_run.start_order.push_back(t - task_base_[f]);
-        }
-      }
+      fabric_run.start.assign(run.start.begin() + first,
+                              run.start.begin() + last);
+      fabric_run.end.assign(run.end.begin() + first, run.end.begin() + last);
+      fabric_run.start_order = std::move(fabric_order[f]);
       const MultiJobLowering& lowering = fabrics_[f]->lowering();
-      for (const MultiJobLowering::JobSlice& slice : lowering.jobs) {
-        const sim::SimResult sliced = SliceResult(fabric_run, slice);
+      const std::vector<sim::SimResult> sliced =
+          SliceResults(fabric_run, lowering.jobs);
+      for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
         per_job[g].iterations.push_back(
-            ComputeIterationStats(slice.lowering, sliced));
+            ComputeIterationStats(lowering.jobs[j].lowering, sliced[j]));
         ++g;
       }
     }

@@ -10,7 +10,8 @@ namespace tictac::runtime {
 
 // The single-job entry points are presets over the IR pass pipeline
 // (ir/lower.h); tests/ir_differential_test.cc pins them bit-identical to
-// the frozen pre-IR implementations (runtime/reference_lowering.h).
+// the frozen pre-IR implementations
+// (tests/support/runtime/reference_lowering.h).
 
 Lowering LowerCluster(const core::Graph& worker_graph,
                       const core::Schedule& schedule,

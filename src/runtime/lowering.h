@@ -78,7 +78,7 @@ struct JobLoweringInput {
 //
 // Implemented as the ir::PassPipeline preset [expand_replicas,
 // lower_ps_fabric] (ir/lower.h), pinned bit-identical to the frozen
-// pre-IR implementation (runtime/reference_lowering.h) by
+// pre-IR implementation (tests/support/runtime/reference_lowering.h) by
 // tests/ir_differential_test.cc.
 Lowering LowerCluster(const core::Graph& worker_graph,
                       const core::Schedule& schedule,

@@ -208,8 +208,11 @@ MultiJobLowering LowerSharedCluster(
   return ir::ToMultiJobLowering(module);
 }
 
-sim::SimResult SliceResult(const sim::SimResult& combined,
-                           const MultiJobLowering::JobSlice& job) {
+namespace {
+
+// SliceResult's start/end/makespan (everything but start_order).
+sim::SimResult SliceTimes(const sim::SimResult& combined,
+                          const MultiJobLowering::JobSlice& job) {
   const auto first = static_cast<std::size_t>(job.first_task);
   const auto last = static_cast<std::size_t>(job.last_task);
   sim::SimResult out;
@@ -225,9 +228,42 @@ sim::SimResult SliceResult(const sim::SimResult& combined,
     for (double& end : out.end) end -= job.start_offset;
   }
   for (const double end : out.end) out.makespan = std::max(out.makespan, end);
+  return out;
+}
+
+}  // namespace
+
+sim::SimResult SliceResult(const sim::SimResult& combined,
+                           const MultiJobLowering::JobSlice& job) {
+  sim::SimResult out = SliceTimes(combined, job);
   for (const sim::TaskId t : combined.start_order) {
     if (t >= job.first_task && t < job.last_task) {
       out.start_order.push_back(t - job.first_task);
+    }
+  }
+  return out;
+}
+
+std::vector<sim::SimResult> SliceResults(
+    const sim::SimResult& combined,
+    const std::vector<MultiJobLowering::JobSlice>& slices) {
+  std::vector<sim::SimResult> out;
+  out.reserve(slices.size());
+  // owner[t]: the slice holding combined task t; -1 for arrival delays.
+  std::vector<int> owner(combined.start.size(), -1);
+  for (std::size_t j = 0; j < slices.size(); ++j) {
+    const MultiJobLowering::JobSlice& slice = slices[j];
+    out.push_back(SliceTimes(combined, slice));
+    out.back().start_order.reserve(
+        static_cast<std::size_t>(slice.last_task - slice.first_task));
+    std::fill(owner.begin() + slice.first_task,
+              owner.begin() + slice.last_task, static_cast<int>(j));
+  }
+  for (const sim::TaskId t : combined.start_order) {
+    const int j = owner[static_cast<std::size_t>(t)];
+    if (j >= 0) {
+      out[static_cast<std::size_t>(j)].start_order.push_back(
+          t - slices[static_cast<std::size_t>(j)].first_task);
     }
   }
   return out;
@@ -310,10 +346,11 @@ MultiJobResult MultiJobRunner::Run(int iterations,
         sim.Run(sim_options_, seed + static_cast<std::uint64_t>(i));
     result.combined.iterations.push_back(
         ComputeIterationStats(lowering_.combined, run));
+    const std::vector<sim::SimResult> sliced =
+        SliceResults(run, lowering_.jobs);
     for (std::size_t j = 0; j < lowering_.jobs.size(); ++j) {
-      const sim::SimResult sliced = SliceResult(run, lowering_.jobs[j]);
       result.jobs[j].iterations.push_back(
-          ComputeIterationStats(lowering_.jobs[j].lowering, sliced));
+          ComputeIterationStats(lowering_.jobs[j].lowering, sliced[j]));
     }
   }
   return result;

@@ -158,6 +158,14 @@ MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs);
 sim::SimResult SliceResult(const sim::SimResult& combined,
                            const MultiJobLowering::JobSlice& job);
 
+// SliceResult for every slice at once: one pass over start_order, which
+// is bucketed by job range with each job's order kept. Equal, field for
+// field, to SliceResult(combined, slices[j]) for every j — the per-job
+// call scans the whole start_order once per job.
+std::vector<sim::SimResult> SliceResults(
+    const sim::SimResult& combined,
+    const std::vector<MultiJobLowering::JobSlice>& slices);
+
 // Combined + per-job views of one multi-job experiment. jobs[j] is
 // sliced from the same simulated executions the combined result
 // summarizes, so for every iteration i:

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -61,6 +63,76 @@ TEST(PredArena, OrderIsContentNotSet) {
   const std::vector<NodeId> a{1, 2};
   const std::vector<NodeId> b{2, 1};
   EXPECT_NE(arena.Intern(a), arena.Intern(b));  // pred order is observable
+}
+
+// More distinct lists than any initial table holds, so the index grows
+// several times: singletons over a dense id range, three permutations of
+// each consecutive triple (same length and contents, different hash), and
+// pairs that differ only above bit 20 (beyond a small table's mask).
+std::vector<std::vector<NodeId>> ManyDistinctLists() {
+  std::vector<std::vector<NodeId>> lists;
+  for (NodeId i = 0; i < 20000; ++i) lists.push_back({i});
+  for (NodeId i = 0; i < 10000; ++i) {
+    lists.push_back({i, i + 1, i + 2});
+    lists.push_back({i + 2, i + 1, i});
+    lists.push_back({i + 1, i, i + 2});
+  }
+  for (NodeId i = 0; i < 5000; ++i) {
+    lists.push_back({i, (NodeId{1} << 20) + i});
+    lists.push_back({i, (NodeId{2} << 20) + i});
+  }
+  return lists;
+}
+
+TEST(PredArena, GrowthKeepsIdsAndCountersExact) {
+  const std::vector<std::vector<NodeId>> lists = ManyDistinctLists();
+  ASSERT_EQ(lists.size(), 60000u);
+  std::size_t entries = 0;
+  for (const auto& list : lists) entries += list.size();
+
+  PredArena arena;
+  std::vector<PredArena::ListId> ids;
+  for (const auto& list : lists) ids.push_back(arena.Intern(list));
+  // Ids are handed out in first-intern order, after the empty list.
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_EQ(ids[k], static_cast<PredArena::ListId>(k + 1));
+  }
+  EXPECT_EQ(arena.num_lists(), lists.size() + 1);
+  EXPECT_EQ(arena.pool_entries(), entries);
+  EXPECT_EQ(arena.dedup_hits(), 0u);
+
+  // Re-interning every list finds it again: same id, no new storage.
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    ASSERT_EQ(arena.Intern(lists[k]), ids[k]) << "list " << k;
+  }
+  EXPECT_EQ(arena.num_lists(), lists.size() + 1);
+  EXPECT_EQ(arena.pool_entries(), entries);
+  EXPECT_EQ(arena.dedup_hits(), lists.size());
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    const auto stored = arena.list(ids[k]);
+    ASSERT_TRUE(std::equal(stored.begin(), stored.end(), lists[k].begin(),
+                           lists[k].end()))
+        << "list " << k;
+  }
+
+  EXPECT_EQ(arena.Intern({}), PredArena::kEmptyList);
+  EXPECT_TRUE(arena.list(PredArena::kEmptyList).empty());
+  EXPECT_EQ(arena.dedup_hits(), lists.size() + 1);
+}
+
+TEST(PredArena, PresizingChangesNoIdOrCounter) {
+  const std::vector<std::vector<NodeId>> lists = ManyDistinctLists();
+  PredArena grown;
+  PredArena presized;
+  presized.Reserve(lists.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& list : lists) {
+      ASSERT_EQ(presized.Intern(list), grown.Intern(list));
+    }
+  }
+  EXPECT_EQ(presized.num_lists(), grown.num_lists());
+  EXPECT_EQ(presized.pool_entries(), grown.pool_entries());
+  EXPECT_EQ(presized.dedup_hits(), grown.dedup_hits());
 }
 
 // ---------------------------------------------------------------------------
@@ -159,6 +231,34 @@ TEST(Module, DebugSummaryNamesStageAndCounts) {
   const std::string summary = m.DebugSummary();
   EXPECT_NE(summary.find("logical"), std::string::npos) << summary;
   EXPECT_NE(summary.find("nodes=2"), std::string::npos) << summary;
+}
+
+TEST(Module, DebugDumpShowsLogicalOpNamesFromTheJobGraph) {
+  auto graph = std::make_shared<core::Graph>();
+  const core::OpId recv = graph->AddRecv("pull_conv1_w", 64, 0);
+  const core::OpId conv = graph->AddCompute("conv1", 2.0);
+  const core::OpId send = graph->AddSend("push_conv1_w", 64, 0);
+  graph->AddEdge(recv, conv);
+  graph->AddEdge(conv, send);
+  Module m;
+  JobInfo info;
+  info.config = EnvG(2, 1, true);
+  info.ps_of_param = {0};
+  info.graph = graph;
+  AddJob(m, std::move(info));
+
+  const std::string logical = m.DebugDump();
+  for (const char* name : {"pull_conv1_w", "conv1", "push_conv1_w"}) {
+    EXPECT_NE(logical.find(std::string("\"") + name + "\""),
+              std::string::npos)
+        << logical;
+  }
+  // Replicas no longer carry the logical graph, so no names are shown.
+  PassPipeline replicate;
+  replicate.Add("expand_replicas");
+  const std::string replicated = replicate.Run(std::move(m)).DebugDump();
+  EXPECT_NE(replicated.find("replicated"), std::string::npos) << replicated;
+  EXPECT_EQ(replicated.find("conv1"), std::string::npos) << replicated;
 }
 
 // ---------------------------------------------------------------------------

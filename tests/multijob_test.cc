@@ -321,6 +321,53 @@ TEST(MultiJob, StartOffsetDelaysTheJob) {
   EXPECT_LT(report.interference.slowdown[0], 1.2);
 }
 
+// SliceResults cuts every job out of one combined run in a single pass
+// over start_order; each job must come out exactly as the per-job
+// SliceResult cuts it.
+void ExpectSliceResultsMatchPerJob(const MultiJobSpec& spec) {
+  const MultiJobRunner runner(spec);
+  const MultiJobLowering& lowering = runner.lowering();
+  const sim::SimResult run =
+      lowering.combined.BuildSim().Run(runner.sim_options(), 11);
+  const std::vector<sim::SimResult> sliced = SliceResults(run, lowering.jobs);
+  ASSERT_EQ(sliced.size(), lowering.jobs.size());
+  for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
+    const MultiJobLowering::JobSlice& slice = lowering.jobs[j];
+    const sim::SimResult want = SliceResult(run, slice);
+    EXPECT_EQ(sliced[j].makespan, want.makespan) << "job " << j;
+    EXPECT_EQ(sliced[j].start, want.start) << "job " << j;
+    EXPECT_EQ(sliced[j].end, want.end) << "job " << j;
+    EXPECT_EQ(sliced[j].start_order, want.start_order) << "job " << j;
+    EXPECT_EQ(sliced[j].dispatch_visits, want.dispatch_visits) << "job " << j;
+    EXPECT_EQ(sliced[j].start_order.size(),
+              static_cast<std::size_t>(slice.last_task - slice.first_task));
+  }
+}
+
+TEST(MultiJob, SliceResultsMatchesPerJobSliceResult) {
+  // Staggered arrivals put delay tasks between the job ranges; they
+  // start in the combined run but belong to no slice.
+  MultiJobSpec staggered;
+  staggered.jobs.push_back({Job("Inception v1", 2, 1, true, "tac"), 0.0});
+  staggered.jobs.push_back({Job("AlexNet v2", 2, 1, true, "tic"), 0.05});
+  staggered.jobs.push_back({Job("Inception v1", 3, 1, false, "baseline"), 0.1});
+  {
+    const MultiJobRunner runner(staggered);
+    EXPECT_EQ(runner.lowering().jobs[0].delay_task, -1);
+    EXPECT_GE(runner.lowering().jobs[1].delay_task, 0);
+    EXPECT_GE(runner.lowering().jobs[2].delay_task, 0);
+  }
+  ExpectSliceResultsMatchPerJob(staggered);
+
+  MultiJobSpec single;
+  single.jobs.push_back({Job("AlexNet v2", 2, 1, true, "tac"), 0.0});
+  ExpectSliceResultsMatchPerJob(single);
+
+  MultiJobSpec single_delayed;
+  single_delayed.jobs.push_back({Job("AlexNet v2", 2, 1, true, "tac"), 0.2});
+  ExpectSliceResultsMatchPerJob(single_delayed);
+}
+
 TEST(MultiJob, MixedEnforcementJobsCoexist) {
   // A gated TAC job next to an ungated baseline job: gates stay on for
   // the scheduled job only, and both slices stay internally consistent.

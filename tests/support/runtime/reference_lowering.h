@@ -7,6 +7,10 @@
 // in src/ir/ passes — these bodies exist precisely so a drift there is
 // caught bit for bit.
 //
+// Built as the test-support library tictac_reference, outside libtictac;
+// it puts tests/support on the include path, so users include
+// "runtime/reference_lowering.h".
+//
 // Precedent: core/tac.h's TacFullRecompute, frozen in PR 2 for the same
 // reason.
 #pragma once
