@@ -1,13 +1,13 @@
 // Session: the experiment execution engine behind the declarative
 // ExperimentSpec/SweepSpec API (DESIGN.md §5).
 //
-// A Session owns a cache of runtime::Runners keyed by (model, cluster),
-// so the PropertyIndex dependency analysis — the expensive part of
-// setting up a run — is built once per distinct (model, cluster)
-// configuration and reused across every policy and seed that touches
-// it. (A Runner binds its full ClusterConfig at construction, so
-// sweeping a sim-only axis such as sigma= or enforce= still builds one
-// Runner per value; only the policy/seed dimensions share.) Run() executes one spec;
+// A Session owns a runtime::AnalysisCache, so the PropertyIndex
+// dependency analysis — the expensive part of setting up a run — is
+// built once per distinct (model, cluster) configuration and reused
+// across every policy and seed that touches it. (A Runner binds its full
+// ClusterConfig at construction, so sweeping a sim-only axis such as
+// sigma= or enforce= still builds one Runner per value; only the
+// policy/seed dimensions share.) Run() executes one spec;
 // RunAll() executes a grid on a thread pool and returns a ResultTable
 // whose rows are in spec order regardless of parallelism, bit-identical
 // to serial execution (each run is deterministic in its spec alone, and
@@ -15,14 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metrics.h"
 #include "exec/validate.h"
+#include "runtime/analysis_cache.h"
 #include "runtime/multijob.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
@@ -111,15 +109,16 @@ struct MultiJobReport {
 class Session {
  public:
   Session() = default;
-  // The runner cache holds pointers handed out by runner(); moving or
-  // copying a Session would invalidate them.
+  // runner() hands out references into the cache.
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   // The cached Runner for the spec's (model, cluster); built on first
   // use, shared by every later spec with the same key. The reference
   // stays valid for the Session's lifetime. Thread-safe.
-  const runtime::Runner& runner(const runtime::ExperimentSpec& spec);
+  const runtime::Runner& runner(const runtime::ExperimentSpec& spec) {
+    return cache_.runner(spec);
+  }
 
   // Executes one spec (validates it first). Thread-safe.
   runtime::ExperimentResult Run(const runtime::ExperimentSpec& spec);
@@ -134,12 +133,10 @@ class Session {
 
   // Executes a multi-job experiment on the shared fabric
   // (runtime::MultiJobRunner) and, when `with_isolated` is true, each
-  // job alone through Run() — reusing this Session's Runner cache — to
-  // derive per-job slowdown and Jain fairness. The multi-job runner
-  // itself is not cached: its schedules depend on the co-located worker
-  // total, not on any one (model, cluster) key. The second overload
-  // reuses a caller-built runner (its construction — per-job scheduling
-  // and the shared-fabric lowering — is the expensive part). Thread-safe.
+  // job alone through Run() to derive per-job slowdown and Jain
+  // fairness. The second overload reuses a caller-built runner (its
+  // construction — per-job scheduling and the shared-fabric lowering —
+  // is the expensive part). Thread-safe.
   MultiJobReport RunMultiJob(const runtime::MultiJobSpec& spec,
                              bool with_isolated = true);
   MultiJobReport RunMultiJob(const runtime::MultiJobRunner& runner,
@@ -147,10 +144,7 @@ class Session {
 
   // Plays a cluster-scheduler service run (sched::SchedulerService) to
   // completion: open-system arrivals, admission, placement over K
-  // fabrics, SLO metrics. The service maintains its own Runner cache —
-  // shared-fabric runners are keyed by contention level, not only by
-  // (model, cluster) — so this call does not touch this Session's cache.
-  // Deterministic in the config alone.
+  // fabrics, SLO metrics. Deterministic in the config alone.
   sched::ServiceReport RunService(const sched::ServiceConfig& config);
 
   // Executes the spec's lowered task graphs for real on the in-process
@@ -166,20 +160,10 @@ class Session {
   static int DefaultParallelism();
 
   // Distinct (model, cluster) graphs analyzed so far.
-  std::size_t cached_runners() const;
+  std::size_t cached_runners() const { return cache_.runners(); }
 
  private:
-  // Entries are created under mu_ but constructed outside it via
-  // call_once, so two clusters can build their PropertyIndexes
-  // concurrently while later lookups of the same key block only on the
-  // one entry they need.
-  struct Entry {
-    std::once_flag once;
-    std::unique_ptr<runtime::Runner> runner;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_;
+  runtime::AnalysisCache cache_;
 };
 
 }  // namespace tictac::harness

@@ -15,11 +15,6 @@ namespace {
   throw std::invalid_argument("clustersweep: " + message);
 }
 
-// Per-fabric cap mirrored from runtime/multijob.cc (MultiJobSpec
-// enforces it; the sweep's partitioner must agree so its error message
-// can name the fix).
-constexpr int kMaxJobsPerFabric = 64;
-
 // Nearest-rank percentile of a sorted sample: deterministic, no
 // interpolation, exact for the byte-compare CI smoke.
 double Percentile(const std::vector<double>& sorted, double q) {
@@ -33,9 +28,9 @@ double Percentile(const std::vector<double>& sorted, double q) {
 
 ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
                            ClusterSweepOptions options)
-    : options_(options) {
-  if (jobs.empty()) Fail("need >= 1 job");
-  const int n = static_cast<int>(jobs.size());
+    : options_(options), jobs_(std::move(jobs)) {
+  if (jobs_.empty()) Fail("need >= 1 job");
+  const int n = static_cast<int>(jobs_.size());
   const int fabrics = options_.fabrics > 0
                           ? options_.fabrics
                           : (n + kMaxJobsPerFabric - 1) / kMaxJobsPerFabric;
@@ -54,29 +49,33 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
          std::to_string((n + kMaxJobsPerFabric - 1) / kMaxJobsPerFabric) +
          " fabrics");
   }
+  num_fabrics_ = fabrics;
 
   // Contiguous, size-balanced chunks; each fabric computes its own
   // schedules against its own contended oracle (jobs only contend with
-  // co-located jobs, never across fabrics).
-  fabrics_.reserve(static_cast<std::size_t>(fabrics));
+  // co-located jobs, never across fabrics). Fabrics of the same job mix
+  // share Runners and schedules through the one cache.
+  AnalysisCache cache;
+  std::vector<SharedFabric> built;
+  built.reserve(static_cast<std::size_t>(fabrics));
   std::size_t next = 0;
   for (int f = 0; f < fabrics; ++f) {
-    const int size = base + (f < extra ? 1 : 0);
     MultiJobSpec spec;
-    spec.jobs.assign(jobs.begin() + static_cast<std::ptrdiff_t>(next),
-                     jobs.begin() + static_cast<std::ptrdiff_t>(next) + size);
-    next += static_cast<std::size_t>(size);
-    fabrics_.push_back(std::make_unique<MultiJobRunner>(std::move(spec)));
+    const auto first = jobs_.begin() + static_cast<std::ptrdiff_t>(next);
+    next += static_cast<std::size_t>(base + (f < extra ? 1 : 0));
+    spec.jobs.assign(first, jobs_.begin() + static_cast<std::ptrdiff_t>(next));
+    spec.Validate();
+    built.push_back(BuildSharedFabric(spec.jobs, cache));
   }
 
   // Simulation options are global to the merged run: every fabric must
   // agree on the knobs a single SimOptions carries. Gate enforcement
-  // ORs across fabrics exactly as MultiJobRunner ORs it across
+  // ORs across fabrics exactly as BuildSharedFabric ORs it across
   // co-located jobs.
-  const sim::SimOptions& head = fabrics_.front()->sim_options();
+  const sim::SimOptions& head = built.front().options;
   merged_options_ = head;
-  for (std::size_t f = 1; f < fabrics_.size(); ++f) {
-    const sim::SimOptions& other = fabrics_[f]->sim_options();
+  for (std::size_t f = 1; f < built.size(); ++f) {
+    const sim::SimOptions& other = built[f].options;
     if (other.jitter_sigma != head.jitter_sigma ||
         other.out_of_order_probability != head.out_of_order_probability) {
       Fail("fabric " + std::to_string(f) +
@@ -91,18 +90,17 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
   // and flow-link id ranges, so the merged graph decomposes back into
   // one independent component per fabric (sim::TaskGraphSim::ComponentOf)
   // and the sharded engine runs the K event loops in parallel.
-  task_base_.reserve(fabrics_.size() + 1);
   bool any_flow = false;
-  for (const auto& fabric : fabrics_) {
-    any_flow |= fabric->lowering().combined.flow != nullptr;
+  for (const SharedFabric& fabric : built) {
+    any_flow |= fabric.lowering.combined.flow != nullptr;
   }
   if (any_flow) merged_flow_ = std::make_shared<sim::FlowNetwork>();
   int gate_base = 0;
-  for (const auto& fabric : fabrics_) {
-    const Lowering& lowering = fabric->lowering().combined;
+  slices_.reserve(jobs_.size());
+  for (SharedFabric& fabric : built) {
+    const Lowering& lowering = fabric.lowering.combined;
     const auto task_base = static_cast<sim::TaskId>(merged_tasks_.size());
     const int resource_base = merged_resources_;
-    task_base_.push_back(task_base);
     int max_gate = -1;
     for (const sim::Task& task : lowering.tasks) {
       sim::Task merged = task;
@@ -136,21 +134,20 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
     }
     merged_resources_ += lowering.num_resources;
     gate_base += max_gate + 1;
+    // The job slices move over with their task ranges re-based onto the
+    // merged graph, so Run slices the merged result in one pass.
+    for (MultiJobLowering::JobSlice& slice : fabric.lowering.jobs) {
+      slice.first_task += task_base;
+      slice.last_task += task_base;
+      if (slice.delay_task >= 0) slice.delay_task += task_base;
+      slices_.push_back(std::move(slice));
+    }
   }
-  task_base_.push_back(static_cast<sim::TaskId>(merged_tasks_.size()));
   merged_options_.network = merged_flow_.get();
 }
 
-int ClusterSweep::num_jobs() const {
-  int total = 0;
-  for (const auto& fabric : fabrics_) {
-    total += static_cast<int>(fabric->spec().jobs.size());
-  }
-  return total;
-}
-
 ClusterSweepResult ClusterSweep::Run() const {
-  const ExperimentSpec& head = fabrics_.front()->spec().jobs.front().spec;
+  const ExperimentSpec& head = jobs_.front().spec;
   return Run(head.iterations, head.seed);
 }
 
@@ -171,19 +168,13 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
   }
 
   // Per-job accumulators, global job order (fabric-major).
-  std::vector<ExperimentResult> per_job(static_cast<std::size_t>(result.jobs));
-  {
-    std::size_t g = 0;
-    for (const auto& fabric : fabrics_) {
-      for (const MultiJobEntry& entry : fabric->spec().jobs) {
-        const ExperimentSpec& job = entry.spec;
-        per_job[g].samples_per_iteration =
-            models::FindModel(job.model).standard_batch *
-            job.cluster.batch_factor * job.cluster.workers;
-        per_job[g].iterations.reserve(static_cast<std::size_t>(iterations));
-        ++g;
-      }
-    }
+  std::vector<ExperimentResult> per_job(jobs_.size());
+  for (std::size_t g = 0; g < jobs_.size(); ++g) {
+    const ExperimentSpec& job = jobs_[g].spec;
+    per_job[g].samples_per_iteration =
+        models::FindModel(job.model).standard_batch *
+        job.cluster.batch_factor * job.cluster.workers;
+    per_job[g].iterations.reserve(static_cast<std::size_t>(iterations));
   }
 
   double makespan_sum = 0.0;
@@ -192,37 +183,10 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
         merged_options_, seed + static_cast<std::uint64_t>(i),
         options_.num_threads);
     makespan_sum += run.makespan;
-    // Bucket start_order by fabric in one pass (fabric-local ids), then
-    // cut each fabric's task range back out so the per-fabric slices
-    // apply unchanged.
-    std::vector<std::vector<sim::TaskId>> fabric_order(fabrics_.size());
-    for (std::size_t f = 0; f < fabrics_.size(); ++f) {
-      fabric_order[f].reserve(
-          static_cast<std::size_t>(task_base_[f + 1] - task_base_[f]));
-    }
-    for (const sim::TaskId t : run.start_order) {
-      const auto f = static_cast<std::size_t>(
-          std::upper_bound(task_base_.begin(), task_base_.end(), t) -
-          task_base_.begin() - 1);
-      fabric_order[f].push_back(t - task_base_[f]);
-    }
-    std::size_t g = 0;
-    for (std::size_t f = 0; f < fabrics_.size(); ++f) {
-      const auto first = static_cast<std::ptrdiff_t>(task_base_[f]);
-      const auto last = static_cast<std::ptrdiff_t>(task_base_[f + 1]);
-      sim::SimResult fabric_run;
-      fabric_run.start.assign(run.start.begin() + first,
-                              run.start.begin() + last);
-      fabric_run.end.assign(run.end.begin() + first, run.end.begin() + last);
-      fabric_run.start_order = std::move(fabric_order[f]);
-      const MultiJobLowering& lowering = fabrics_[f]->lowering();
-      const std::vector<sim::SimResult> sliced =
-          SliceResults(fabric_run, lowering.jobs);
-      for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
-        per_job[g].iterations.push_back(
-            ComputeIterationStats(lowering.jobs[j].lowering, sliced[j]));
-        ++g;
-      }
+    const std::vector<sim::SimResult> sliced = SliceResults(run, slices_);
+    for (std::size_t g = 0; g < slices_.size(); ++g) {
+      per_job[g].iterations.push_back(
+          ComputeIterationStats(slices_[g].lowering, sliced[g]));
     }
   }
   result.mean_makespan_s = makespan_sum / static_cast<double>(iterations);

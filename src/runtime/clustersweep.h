@@ -57,12 +57,13 @@ struct ClusterSweepResult {
 };
 
 // Builds and runs the partitioned sweep. Construction partitions the
-// jobs, constructs one MultiJobRunner per fabric (schedules computed
-// against each fabric's contended oracle), and merges the per-fabric
-// lowerings into one task graph with disjoint resource, gate-group and
-// flow-link id ranges. Throws std::invalid_argument on an empty job
-// list, a partition that overflows the per-fabric cap, or fabrics whose
-// simulation options disagree (jitter/ooo/gates are global to a run).
+// jobs, builds each fabric with BuildSharedFabric (schedules computed
+// against each fabric's contended oracle) through one AnalysisCache
+// shared by all fabrics, and merges the per-fabric lowerings into one
+// task graph with disjoint resource, gate-group and flow-link id
+// ranges. Throws std::invalid_argument on an empty job list, a partition
+// that overflows the per-fabric cap, or fabrics whose simulation options
+// disagree (jitter/ooo/gates are global to a run).
 class ClusterSweep {
  public:
   explicit ClusterSweep(std::vector<MultiJobEntry> jobs,
@@ -76,15 +77,17 @@ class ClusterSweep {
   ClusterSweepResult Run() const;
   ClusterSweepResult Run(int iterations, std::uint64_t seed) const;
 
-  int num_jobs() const;
-  int num_fabrics() const { return static_cast<int>(fabrics_.size()); }
+  int num_jobs() const { return static_cast<int>(jobs_.size()); }
+  int num_fabrics() const { return num_fabrics_; }
 
  private:
   ClusterSweepOptions options_;
-  std::vector<std::unique_ptr<MultiJobRunner>> fabrics_;
-  // The merged graph: fabric f's tasks at [task_base_[f], task_base_[f+1]).
+  std::vector<MultiJobEntry> jobs_;
+  int num_fabrics_ = 0;
+  // Every job's slice (global job order), task ranges in the merged graph.
+  std::vector<MultiJobLowering::JobSlice> slices_;
+  // The merged graph: the fabrics' tasks, fabric after fabric.
   std::vector<sim::Task> merged_tasks_;
-  std::vector<sim::TaskId> task_base_;
   int merged_resources_ = 0;
   // Merged capacity graph (null when no fabric enables flow fairness);
   // merged_options_.network points at it.

@@ -15,13 +15,6 @@ namespace {
   throw std::invalid_argument("multijob: " + message);
 }
 
-// Construction cost is one full Runner (graph build + dependency
-// analysis + schedule) per job and a combined fabric of 2·T·S channel
-// resources, so an over-generous job count turns a one-line spec into
-// minutes of work; 64 co-located jobs is far beyond any realistic
-// shared-PS scenario.
-constexpr long long kMaxJobs = 64;
-
 }  // namespace
 
 std::string MultiJobSpec::ToString() const {
@@ -124,16 +117,16 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
 
 MultiJobSpec MultiJobSpec::Parse(std::string_view text) {
   MultiJobSpec spec;
-  spec.jobs = ParseJobGroups(text, kMaxJobs);
+  spec.jobs = ParseJobGroups(text, kMaxJobsPerFabric);
   spec.Validate();
   return spec;
 }
 
 void MultiJobSpec::Validate() const {
   if (jobs.empty()) Fail("need >= 1 job");
-  if (jobs.size() > static_cast<std::size_t>(kMaxJobs)) {
-    Fail("at most " + std::to_string(kMaxJobs) + " jobs per fabric, got " +
-         std::to_string(jobs.size()));
+  if (jobs.size() > static_cast<std::size_t>(kMaxJobsPerFabric)) {
+    Fail("at most " + std::to_string(kMaxJobsPerFabric) +
+         " jobs per fabric, got " + std::to_string(jobs.size()));
   }
   const ExperimentSpec& head = jobs.front().spec;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -208,6 +201,42 @@ MultiJobLowering LowerSharedCluster(
   return ir::ToMultiJobLowering(module);
 }
 
+SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& jobs,
+                               AnalysisCache& cache) {
+  int total_workers = 0;
+  for (const MultiJobEntry& job : jobs) {
+    total_workers += job.spec.cluster.workers;
+  }
+  std::vector<JobLoweringInput> inputs;
+  inputs.reserve(jobs.size());
+  bool any_covered = false;
+  for (const MultiJobEntry& job : jobs) {
+    // Every PS NIC is time-shared by the pair-channels of ALL jobs'
+    // workers, not just this job's: scaling the platform bandwidth by
+    // W_j / T makes LowerCluster's and MakeSchedule's per-channel figure
+    // (bandwidth / W_j) come out as the contended bandwidth / T. Exactly
+    // 1.0 — bit-identical to the single-job path — for a lone job.
+    const double scale = static_cast<double>(job.spec.cluster.workers) /
+                         static_cast<double>(total_workers);
+    const Runner& runner = cache.runner(job.spec, scale);
+    const AnalysisCache::ScheduleEntry& schedule =
+        cache.schedule(job.spec, scale);
+    any_covered |= schedule.covers_all_recvs;
+    inputs.push_back(JobLoweringInput{runner.worker_graph(),
+                                      schedule.schedule, runner.ps_of_param(),
+                                      runner.config(), job.start_offset});
+  }
+  SharedFabric fabric;
+  fabric.lowering = LowerSharedCluster(inputs);
+  fabric.options = inputs.front().config.sim;
+  fabric.options.enforce_gates = any_covered;
+  // Non-null exactly when a config enabled sim.flow_fairness
+  // (lower_flow_nics).
+  fabric.options.network = fabric.lowering.combined.flow.get();
+  fabric.options.flow_fairness |= fabric.options.network != nullptr;
+  return fabric;
+}
+
 namespace {
 
 // SliceResult's start/end/makespan (everything but start_order).
@@ -271,47 +300,10 @@ std::vector<sim::SimResult> SliceResults(
 
 MultiJobRunner::MultiJobRunner(MultiJobSpec spec) : spec_(std::move(spec)) {
   spec_.Validate();
-  const int T = spec_.TotalWorkers();
-  runners_.reserve(spec_.jobs.size());
-  schedules_.reserve(spec_.jobs.size());
-  scheduled_.reserve(spec_.jobs.size());
-  for (const MultiJobEntry& entry : spec_.jobs) {
-    ClusterConfig config = entry.spec.BuildCluster();
-    // Every PS NIC is time-shared by the pair-channels of ALL jobs'
-    // workers, not just this job's: scale the platform bandwidth by
-    // W_j / T so LowerCluster's and MakeSchedule's per-channel figure
-    // (bandwidth / W_j) comes out as the contended bandwidth / T.
-    // Exactly 1.0 — bit-identical — for a single job.
-    config.platform.bandwidth_bps *=
-        static_cast<double>(config.num_workers) / static_cast<double>(T);
-    runners_.push_back(std::make_unique<Runner>(
-        models::FindModel(entry.spec.model), config));
-    const Runner& runner = *runners_.back();
-    schedules_.push_back(runner.MakeSchedule(entry.spec.policy));
-    scheduled_.push_back(
-        schedules_.back().size() == runner.worker_graph().size() &&
-        schedules_.back().CoversAllRecvs(runner.worker_graph()));
-  }
-
-  std::vector<JobLoweringInput> inputs;
-  inputs.reserve(spec_.jobs.size());
-  for (std::size_t j = 0; j < spec_.jobs.size(); ++j) {
-    inputs.push_back(JobLoweringInput{
-        runners_[j]->worker_graph(), schedules_[j], runners_[j]->ps_of_param(),
-        runners_[j]->config(), spec_.jobs[j].start_offset});
-  }
-  lowering_ = LowerSharedCluster(inputs);
-
-  sim_options_ = runners_.front()->config().sim;
-  bool any_scheduled = false;
-  for (const bool covered : scheduled_) any_scheduled |= covered;
-  sim_options_.enforce_gates = any_scheduled;
-  // Non-null exactly when a config enabled sim.flow_fairness
-  // (lower_flow_nics); the lowering outlives every Run(). Like
-  // enforce_gates, any one job opting in turns the flow model on for the
-  // shared fabric — contention is fabric-wide or not at all.
-  sim_options_.network = lowering_.combined.flow.get();
-  sim_options_.flow_fairness |= sim_options_.network != nullptr;
+  // The lowering copies what it needs, so the Runners and schedules are
+  // dropped with the cache once the fabric is built.
+  AnalysisCache cache;
+  fabric_ = BuildSharedFabric(spec_.jobs, cache);
 }
 
 MultiJobResult MultiJobRunner::Run() const {
@@ -324,7 +316,8 @@ MultiJobResult MultiJobRunner::Run(int iterations,
   if (iterations < 1) {
     throw std::invalid_argument("MultiJobRunner: iterations must be >= 1");
   }
-  sim::TaskGraphSim sim = lowering_.combined.BuildSim();
+  const MultiJobLowering& lowering = fabric_.lowering;
+  sim::TaskGraphSim sim = lowering.combined.BuildSim();
 
   MultiJobResult result;
   result.jobs.resize(spec_.jobs.size());
@@ -343,14 +336,14 @@ MultiJobResult MultiJobRunner::Run(int iterations,
 
   for (int i = 0; i < iterations; ++i) {
     const sim::SimResult run =
-        sim.Run(sim_options_, seed + static_cast<std::uint64_t>(i));
+        sim.Run(fabric_.options, seed + static_cast<std::uint64_t>(i));
     result.combined.iterations.push_back(
-        ComputeIterationStats(lowering_.combined, run));
+        ComputeIterationStats(lowering.combined, run));
     const std::vector<sim::SimResult> sliced =
-        SliceResults(run, lowering_.jobs);
-    for (std::size_t j = 0; j < lowering_.jobs.size(); ++j) {
+        SliceResults(run, lowering.jobs);
+    for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
       result.jobs[j].iterations.push_back(
-          ComputeIterationStats(lowering_.jobs[j].lowering, sliced[j]));
+          ComputeIterationStats(lowering.jobs[j].lowering, sliced[j]));
     }
   }
   return result;

@@ -21,7 +21,7 @@
 // Each PS NIC is time-shared by the T pair-channels of ALL jobs, so the
 // per-channel bandwidth is bandwidth/T — adding a co-located job slows
 // every transfer in the fabric, and the per-job schedules are computed
-// against that contended oracle (MultiJobRunner scales each job's
+// against that contended oracle (BuildSharedFabric scales each job's
 // platform bandwidth by W_j/T before handing it to runtime::Runner,
 // whose MakeSchedule divides by W_j; the product is bandwidth/T).
 //
@@ -33,17 +33,24 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/schedule.h"
+#include "runtime/analysis_cache.h"
 #include "runtime/lowering.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
 
 namespace tictac::runtime {
+
+// Jobs per shared fabric, at most (MultiJobSpec, the cluster sweep's
+// partitioner, the service's max_jobs_per_fabric). Every job widens the
+// fabric by 2·S channel resources per worker and every distinct job
+// costs a Runner and a schedule, so an over-generous count turns a
+// one-line spec into minutes of work; 64 co-located jobs is far beyond
+// any realistic shared-PS scenario.
+inline constexpr int kMaxJobsPerFabric = 64;
 
 // One job of a multi-job experiment: a complete single-job spec plus an
 // arrival offset (seconds after t = 0 before any of the job's tasks may
@@ -77,9 +84,8 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
 //
 // `COUNT x` replicates the group (2x{...} = two identical co-located
 // jobs); `@offset` delays every replica's arrival. ToString() collapses
-// consecutive identical entries back into the counted form. At most 64
-// jobs per fabric — each job costs a full Runner construction, so the
-// cap keeps a one-line spec from encoding minutes of setup work.
+// consecutive identical entries back into the counted form. At most
+// kMaxJobsPerFabric jobs.
 struct MultiJobSpec {
   std::vector<MultiJobEntry> jobs;
 
@@ -166,6 +172,26 @@ std::vector<sim::SimResult> SliceResults(
     const sim::SimResult& combined,
     const std::vector<MultiJobLowering::JobSlice>& slices);
 
+// A lowered shared fabric and the options every simulation of it runs
+// with. options.network points into lowering.combined.flow, which copies
+// and moves share.
+struct SharedFabric {
+  MultiJobLowering lowering;
+  sim::SimOptions options;
+};
+
+// The one contended-fabric construction path (MultiJobRunner,
+// ClusterSweep and sched::SchedulerService all build through it). Scales
+// each job's platform bandwidth by W_j/T, looks up its Runner and then
+// its schedule in `cache` in job order, lowers the jobs with
+// LowerSharedCluster, and derives the options from job 0's config:
+// gates are enforced when any job's schedule covers its recvs, and the
+// flow model is on when any job enables it (contention is fabric-wide
+// or not at all). Jobs are not validated against each other here; the
+// callers apply their own sharing rules first.
+SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& jobs,
+                               AnalysisCache& cache);
+
 // Combined + per-job views of one multi-job experiment. jobs[j] is
 // sliced from the same simulated executions the combined result
 // summarizes, so for every iteration i:
@@ -180,17 +206,13 @@ struct MultiJobResult {
 };
 
 // Builds and runs a multi-job experiment. Construction validates the
-// spec, computes each job's schedule against the contended oracle, and
-// lowers the shared fabric; Run() then simulates the spec's iterations.
+// spec and builds the shared fabric (BuildSharedFabric, with a cache
+// local to the constructor); Run() then simulates the spec's iterations.
 // A 1-job MultiJobRunner reproduces the single-job Session/Runner path
 // bit for bit (pinned by tests/multijob_test.cc).
 class MultiJobRunner {
  public:
   explicit MultiJobRunner(MultiJobSpec spec);
-
-  // The per-job Runners hold the graphs lowering_ points into.
-  MultiJobRunner(const MultiJobRunner&) = delete;
-  MultiJobRunner& operator=(const MultiJobRunner&) = delete;
 
   // Simulates spec().jobs[0].spec.iterations iterations (validated equal
   // across jobs), seeds seed + i as the single-job path does. Thread-safe
@@ -199,24 +221,15 @@ class MultiJobRunner {
   MultiJobResult Run(int iterations, std::uint64_t seed) const;
 
   const MultiJobSpec& spec() const { return spec_; }
-  const MultiJobLowering& lowering() const { return lowering_; }
-  int total_workers() const { return lowering_.total_workers; }
+  const MultiJobLowering& lowering() const { return fabric_.lowering; }
+  int total_workers() const { return fabric_.lowering.total_workers; }
   // The options every Run() simulates with (gates, jitter, flow network),
-  // derived from the jobs' configs at construction. The cluster sweep
-  // (runtime/clustersweep.h) reads these to merge fabrics into one sim.
-  const sim::SimOptions& sim_options() const { return sim_options_; }
+  // derived from the jobs' configs at construction.
+  const sim::SimOptions& sim_options() const { return fabric_.options; }
 
  private:
   MultiJobSpec spec_;
-  // One Runner per job, constructed with the contended-bandwidth config;
-  // supplies the worker graph, PropertyIndex-backed scheduling, and
-  // parameter sharding.
-  std::vector<std::unique_ptr<Runner>> runners_;
-  std::vector<core::Schedule> schedules_;
-  // Whether job j's schedule covers all its recvs (gates enforced).
-  std::vector<bool> scheduled_;
-  MultiJobLowering lowering_;
-  sim::SimOptions sim_options_;
+  SharedFabric fabric_;
 };
 
 }  // namespace tictac::runtime

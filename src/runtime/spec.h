@@ -17,7 +17,7 @@
 //   envG:workers=1,2,4,8:ps=1 models=VGG-16,Inception v2 policies=baseline,tic
 //
 // harness::Session executes specs (serially or on a thread pool) with
-// Runner caching keyed by (model, cluster); see harness/session.h.
+// Runner caching keyed by (model, cluster); see runtime/analysis_cache.h.
 #pragma once
 
 #include <cstdint>

@@ -8,10 +8,10 @@
 //     -> admission (bounded FIFO queue, queueing-delay accounting)
 //       -> placement (sched/placement.h: which fabric)
 //         -> incremental re-lowering (ONLY the affected fabric is
-//            re-lowered on an arrival or drain; schedules and
-//            PropertyIndex dependency analyses are cached and reused,
-//            so the PR-2 incremental machinery is built once per
-//            distinct (model, cluster, contention level), never per
+//            re-lowered on an arrival or drain, through
+//            runtime::BuildSharedFabric; the run's runtime::AnalysisCache
+//            builds schedules and PropertyIndex dependency analyses once
+//            per distinct (model, cluster, contention level), never per
 //            event)
 //           -> SLO metrics over time (p50/p99 per-job slowdown vs the
 //              cached isolated baseline, windowed Jain fairness,
@@ -24,7 +24,7 @@
 //     runtime reconfigures between steps, and what keeps replays
 //     bit-identical.
 //   * A job's iteration time under the current mix comes from one
-//     combined-fabric simulation (runtime::LowerSharedCluster of the
+//     combined-fabric simulation (runtime::BuildSharedFabric of the
 //     resident jobs, seeded spec.seed + iteration index) sliced to the
 //     job. A lone job on a fabric therefore reproduces the single-job
 //     Session result bit for bit (the 1-job lowering degenerates
@@ -34,15 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/schedule.h"
 #include "fault/fault.h"
 #include "runtime/multijob.h"
-#include "runtime/runner.h"
 #include "sched/arrival.h"
 #include "sched/placement.h"
 #include "util/table.h"
@@ -200,8 +196,8 @@ struct ServiceReport {
 // Run() materializes the arrival stream, validates it against the
 // shared-fabric rules (uniform env / ps= / jitter / ooo across all jobs;
 // iterations and seed are per-job), and plays the open system to
-// completion. Run() is deterministic and repeatable — internal caches
-// only make it faster, never different.
+// completion. Run() is deterministic and repeatable: each call keeps its
+// own analysis cache, which only makes it faster, never different.
 class SchedulerService {
  public:
   explicit SchedulerService(ServiceConfig config);
@@ -211,30 +207,7 @@ class SchedulerService {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  struct CachedRunner {
-    std::unique_ptr<runtime::Runner> runner;
-  };
-  struct CachedSchedule {
-    core::Schedule schedule;
-    bool covers_all_recvs = false;
-  };
-
-  // Runner for (spec, bandwidth scale), built once per distinct key.
-  const runtime::Runner& GetRunner(const runtime::ExperimentSpec& spec,
-                                   double bandwidth_scale,
-                                   ServiceCounters& counters);
-  const CachedSchedule& GetSchedule(const runtime::ExperimentSpec& spec,
-                                    double bandwidth_scale,
-                                    ServiceCounters& counters);
-  double IsolatedIterationTime(const runtime::ExperimentSpec& spec,
-                               ServiceCounters& counters);
-
   ServiceConfig config_;
-  // model + cluster + contended-bandwidth scale -> analyzed Runner
-  // (PropertyIndex built once; scale 1 doubles as the isolated baseline).
-  std::unordered_map<std::string, CachedRunner> runners_;
-  std::unordered_map<std::string, CachedSchedule> schedules_;
-  std::unordered_map<std::string, double> isolated_;
 };
 
 }  // namespace tictac::sched

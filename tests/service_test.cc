@@ -74,6 +74,26 @@ TEST(SchedulerService, SingleJobTraceBitIdenticalToSession) {
   for (const auto& it : reference.iterations) sum += it.makespan;
   EXPECT_EQ(report.makespan, sum);
   EXPECT_EQ(report.utilization, 1.0);  // one fabric, busy start to finish
+
+  // The same lone job under flow-level fairness: the service must
+  // simulate with the fabric's flow network, as Session does.
+  runtime::ExperimentSpec flow_job = job;
+  flow_job.cluster.flow = true;
+  const runtime::ExperimentResult flow_reference = session.Run(flow_job);
+  const ServiceReport flow_report =
+      SchedulerService(TraceConfig(WriteTrace("tictac_single_flow.csv",
+                                              {{0.0, flow_job.ToString()}})))
+          .Run();
+  ASSERT_EQ(flow_report.jobs.size(), 1u);
+  const JobRecord& flow_record = flow_report.jobs[0];
+  ASSERT_EQ(flow_record.iteration_times.size(),
+            flow_reference.iterations.size());
+  for (std::size_t i = 0; i < flow_record.iteration_times.size(); ++i) {
+    EXPECT_EQ(flow_record.iteration_times[i],
+              flow_reference.iterations[i].makespan)
+        << "flow iteration " << i;
+  }
+  EXPECT_EQ(flow_record.slowdown, 1.0);
 }
 
 TEST(SchedulerService, SameConfigSameSeedBitIdenticalJson) {
