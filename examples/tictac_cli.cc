@@ -1,92 +1,18 @@
 // tictac_cli — command-line front end over the public API.
 //
-//   tictac_cli models
-//       List the model zoo with Table 1 characteristics.
-//   tictac_cli policies        (also: tictac_cli --list-policies)
-//       List the registered scheduling policies.
-//   tictac_cli schedule <model> [--policy <name>] [--training]
-//       Print the priority list (the ordering wizard's output, §5).
-//   tictac_cli run --spec "<experiment spec>"
-//       Execute one declaratively-specified experiment, e.g.
-//       --spec "envG:workers=8:ps=4:training model=VGG-16 policy=tac".
-//   tictac_cli sweep --sweep "<sweep spec>" [--parallel N] [--csv|--json]
-//       Expand a cartesian grid and execute it on a thread pool, e.g.
-//       --sweep "envG:workers=2,4,8:ps=1 models=VGG-16,Inception v2
-//       policies=baseline,tic,tac". Emits an aligned table by default,
-//       CSV or JSON on request; rows are deterministic for any N.
-//   tictac_cli multijob --jobs "<multijob spec>" [--no-isolated] [--json]
-//       Co-locate N jobs on one shared PS fabric and report per-job
-//       makespans plus slowdown/fairness against isolated runs, e.g.
-//       --jobs "2x{envG:workers=4:ps=2:training model=ResNet-101 v1
-//       policy=tac}". Grammar: [COUNTx]{<experiment spec>}[@offset_s],
-//       whitespace-separated (runtime/multijob.h, DESIGN.md §6).
-//   tictac_cli lower --jobs "<multijob spec>" [--dump] [--json]
-//       Lower a composed scenario — chunking, sharding, schedule
-//       computation, replica expansion, PS lowering, multi-job merging,
-//       arrival offsets — through ONE ir::PassPipeline invocation
-//       (DESIGN.md §10) with per-pass invariant checks, then simulate
-//       and report per-job and combined results. --dump prints each
-//       pass's module summary; a bare experiment spec (no braces) is
-//       accepted as a single job, e.g.
-//       --jobs "envG:workers=4:ps=2:training:chunk=4096:shard=even
-//       model=VGG-16 policy=tac".
-//   tictac_cli clustersweep --jobs "<job groups>" [--fabrics K]
-//                           [--threads N] [--json]
-//       Datacenter-scale contended sweep (DESIGN.md §11): partition N
-//       jobs (same group grammar as multijob, but counts up to 4096)
-//       over K shared PS fabrics — K = 0 or absent picks the fewest the
-//       64-job per-fabric cap allows — merge them into one task graph
-//       and simulate it on the sharded event engine, e.g.
-//       --jobs "1000x{envG:workers=2:ps=1:training model=AlexNet v2
-//       policy=tac iterations=2 seed=1}" --threads 8. The report
-//       (per-job iteration-time distribution, total throughput, Jain
-//       fairness) is byte-identical at every --threads value.
-//   tictac_cli serve --arrivals "<arrival spec>" [--fabrics K]
-//                    [--duration T] [--job "<experiment spec>"]...
-//                    [--placement <name>] [--max-jobs N] [--queue N]
-//                    [--seed N] [--faults "<fault spec>"]
-//                    [--retry-budget N] [--trace out.json] [--json]
-//       Long-running cluster-scheduler service (DESIGN.md §7): an open
-//       system where jobs arrive over time (poisson:rate=...,
-//       bursty:rate=...:burst=..., or trace:<csv>), are admitted and
-//       placed onto one of K shared PS fabrics, and SLO metrics
-//       (p50/p99 slowdown, windowed Jain fairness, utilization,
-//       queueing delay) are reported. --job gives the synthetic
-//       workload templates (repeatable, cycled); --trace dumps the
-//       per-job record array as JSON. --faults injects a deterministic
-//       fault timeline (DESIGN.md §8) — stragglers, slow links, NIC
-//       flaps, worker/fabric crashes — and the report grows MTTR,
-//       retry, lost-work, and goodput metrics.
-//   tictac_cli exec [--model <name>] [--policy <name>]... [--workers N]
-//                   [--ps K] [--iters I] [--seed N] [--straggler w=F]...
-//                   [--deterministic] [--link-jitter SIGMA] [--json]
-//       Execute the lowered task graph for real on the in-process
-//       parameter-server backend (src/exec/, DESIGN.md §9): real
-//       worker/PS threads, real tensor push/pull, the policy's send
-//       order enforced at each worker. The measured trace calibrates
-//       the platform constants and the run reports predicted vs
-//       measured iteration time per policy. --policy is repeatable
-//       (default: baseline, tic, tac); --straggler w=F slows worker w
-//       by factor F; --deterministic swaps the wall clock for a
-//       reproducible virtual clock (byte-identical JSON per seed).
-//   tictac_cli simulate <model> [--workers N] [--ps N] [--training]
-//                       [--policy <name>] [--iterations N] [--env envC]
-//       Simulate a cluster and report throughput / E / stragglers.
-//   tictac_cli compare <model> [--workers N] [--ps N] [--training]
-//       Every registered policy side by side against the baseline.
-//   tictac_cli export-graph <model> [--training]
-//       Serialize the worker partition (core/io.h text format).
-//   tictac_cli export-dot <model> [--training]
-//       Graphviz DOT of the worker partition with TIC priorities.
-//
-// Policy names are core::PolicyRegistry specs ("tic", "tac", "random:7",
-// "reverse:tac", ...). The spec/sweep grammar is documented in
-// DESIGN.md §5 and runtime/spec.h.
+// Run `tictac_cli` with no arguments for the commands, the flags each one
+// reads and the spec grammars; README.md walks through examples. The
+// command and flag tables at the end of this file are the only place
+// those sets are written down: parsing, the usage text and the dispatch
+// are all derived from them.
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/io.h"
@@ -107,7 +33,6 @@ using namespace tictac;
 namespace {
 
 struct Args {
-  std::string command;
   std::string model;
   std::string env = "envG";
   int workers = 4;
@@ -115,7 +40,8 @@ struct Args {
   bool training = false;
   std::string policy = "tic";
   int iterations = 10;
-  // run/sweep/multijob: the joined spec text plus output/executor options.
+  // run/sweep/multijob/lower/clustersweep: the joined spec text plus
+  // output/executor options.
   std::string spec_text;
   int parallelism = 0;  // 0 = default (all cores for sweep)
   bool no_isolated = false;  // multijob: skip the isolated references
@@ -144,35 +70,65 @@ struct Args {
   double link_jitter = 0.0;                        // lognormal sigma
 };
 
+// One subcommand. `operands` says what its bare (non-flag) tokens are:
+// none, one leading <model>, or spec text, joined back together so an
+// unquoted spec works.
+struct Command {
+  std::string_view name;
+  enum class Operands { kNone, kModel, kSpec } operands;
+  // Its cluster and policy settings come from spec text, so the flags
+  // that set them elsewhere (kSpecKey below) get a pointer to the spec.
+  bool spec_settings;
+  std::string_view summary;
+  int (*run)(const Args&);
+};
+
+// Writes one flag's value (null for a switch) into Args; false means
+// usage, exit 2. `flag` is the flag's name, for messages.
+using Store =
+    std::function<bool(Args& args, std::string_view flag, const char* value)>;
+
+// One flag, as read by `commands`. A flag whose value goes to different
+// places for different commands has one row per destination.
+struct Flag {
+  std::string_view name;
+  std::string_view value;  // usage placeholder; empty for a switch
+  std::vector<std::string_view> commands;
+  Store store;
+  int traits = 0;  // kSpecKey | kRepeats
+};
+constexpr int kSpecKey = 1;  // the spec text has a key for this setting
+constexpr int kRepeats = 2;  // may be given more than once
+
+const std::vector<Command>& Commands();
+const std::vector<Flag>& Flags();
+
+bool Reads(const Flag& flag, std::string_view command) {
+  for (const std::string_view c : flag.commands) {
+    if (c == command) return true;
+  }
+  return false;
+}
+
 int Usage() {
+  std::cerr << "usage:\n";
+  for (const Command& command : Commands()) {
+    std::string line = "  tictac_cli " + std::string(command.name);
+    if (command.operands == Command::Operands::kModel) line += " <model>";
+    for (const Flag& flag : Flags()) {
+      if (!Reads(flag, command.name)) continue;
+      std::string item = " [" + std::string(flag.name);
+      if (!flag.value.empty()) item += ' ' + std::string(flag.value);
+      item += flag.traits & kRepeats ? "]..." : "]";
+      // Wrap at 80 columns, continuing under the command name.
+      const std::size_t width = line.size() - line.rfind('\n') - 1;
+      if (width + item.size() > 80) line += "\n       ";
+      line += item;
+    }
+    std::cerr << line << "\n      " << command.summary << "\n";
+  }
   std::cerr
-      << "usage:\n"
-         "  tictac_cli models\n"
-         "  tictac_cli policies\n"
-         "  tictac_cli schedule <model> [--policy <name>] [--training]\n"
-         "  tictac_cli run --spec \"<spec>\"\n"
-         "  tictac_cli sweep --sweep \"<sweep>\" [--parallel N] "
-         "[--csv|--json]\n"
-         "  tictac_cli multijob --jobs \"<multijob>\" [--no-isolated] "
-         "[--json]\n"
-         "  tictac_cli lower --jobs \"<multijob>\" [--dump] [--json]\n"
-         "  tictac_cli clustersweep --jobs \"<job groups>\" [--fabrics K] "
-         "[--threads N] [--json]\n"
-         "  tictac_cli serve --arrivals \"<arrival>\" [--fabrics K] "
-         "[--duration T] [--job \"<spec>\"]... [--placement <name>] "
-         "[--max-jobs N] [--queue N] [--seed N] [--faults \"<faults>\"] "
-         "[--retry-budget N] [--trace FILE] [--json]\n"
-         "  tictac_cli exec [--model <name>] [--policy <name>]... "
-         "[--workers N] [--ps K] [--iters I] [--seed N] "
-         "[--straggler w=F]... [--deterministic] [--link-jitter SIGMA] "
-         "[--json]\n"
-         "  tictac_cli simulate <model> [--workers N] [--ps N] "
-         "[--training] [--policy <name>] [--iterations N] [--env envC]\n"
-         "  tictac_cli compare <model> [--workers N] [--ps N] "
-         "[--training]\n"
-         "  tictac_cli export-graph <model> [--training]\n"
-         "  tictac_cli export-dot <model> [--training]\n"
-         "spec grammar:  envG:workers=8:ps=4:training model=VGG-16 "
+      << "spec grammar:  envG:workers=8:ps=4:training model=VGG-16 "
          "policy=tac iterations=10 seed=1\n"
          "sweep grammar: comma lists on any axis, e.g. "
          "envG:workers=2,4,8:ps=1 models=VGG-16,Inception v2 "
@@ -204,7 +160,7 @@ int Usage() {
   return 2;
 }
 
-int CmdListPolicies() {
+int CmdListPolicies(const Args&) {
   util::Table table({"Policy", "Needs oracle", "Example spec"});
   const auto& registry = core::PolicyRegistry::Global();
   for (const auto& name : registry.List()) {
@@ -216,283 +172,188 @@ int CmdListPolicies() {
   return 0;
 }
 
-// Whole-string integer parse; returns false (→ usage, exit 2) instead of
-// letting std::stoi abort the process on "--workers abc".
-bool ParseIntFlag(const char* value, int& out) {
-  if (!value) return false;
-  try {
-    std::size_t consumed = 0;
-    const int parsed = std::stoi(value, &consumed);
-    if (consumed != std::strlen(value)) return false;
-    out = parsed;
+// Whole-string value parse; false (→ usage, exit 2) instead of letting
+// std::sto* abort the process on "--workers abc" or accept "8x".
+template <typename T>
+bool ParseValue(const char* text, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
     return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool ParseDoubleFlag(const char* value, double& out) {
-  if (!value) return false;
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != std::strlen(value)) return false;
-    out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool ParseSeedFlag(const char* value, std::uint64_t& out) {
-  if (!value) return false;
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long parsed = std::stoull(value, &consumed);
-    if (consumed != std::strlen(value)) return false;
-    out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool Parse(int argc, char** argv, Args& args) {
-  if (argc < 2) return false;
-  args.command = argv[1];
-  if (args.command == "--list-policies") {
-    args.command = "policies";
-    return true;
-  }
-  int i = 2;
-  const bool spec_command = args.command == "run" ||
-                            args.command == "sweep" ||
-                            args.command == "multijob" ||
-                            args.command == "lower" ||
-                            args.command == "clustersweep" ||
-                            args.command == "serve";
-  // Name the offender before any positional-argument checks, so a bare
-  // `tictac_cli frobnicate` says what was wrong instead of just printing
-  // usage (pinned in tests/cli_smoke_test.cc).
-  const bool exec_command = args.command == "exec";
-  if (!spec_command && !exec_command && args.command != "models" &&
-      args.command != "policies" && args.command != "schedule" &&
-      args.command != "simulate" && args.command != "compare" &&
-      args.command != "export-graph" && args.command != "export-dot") {
-    std::cerr << "unknown command: " << args.command << "\n";
-    return false;
-  }
-  // exec takes its model through --model (it has a default), not
-  // positionally like schedule/simulate/compare.
-  if (!spec_command && !exec_command && args.command != "models" &&
-      args.command != "policies") {
-    if (i >= argc) return false;
-    args.model = argv[i++];
-  }
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    auto append_spec = [&](const std::string& text) {
-      if (!args.spec_text.empty()) args.spec_text += ' ';
-      args.spec_text += text;
-    };
-    // run/sweep take their parameters from the spec text alone, and the
-    // spec/executor/emit flags belong only to them; accepting a flag a
-    // command never reads would silently ignore it.
-    if (spec_command &&
-        (flag == "--training" || flag == "--workers" || flag == "--ps" ||
-         flag == "--policy" || flag == "--iterations" || flag == "--env")) {
-      std::cerr << args.command << ": " << flag
-                << " is not accepted — put it in the spec text, e.g. "
-                   "\"envG:workers=8:ps=2:training ... iterations=5\"\n";
-      return false;
-    }
-    // Each spec command owns a specific flag set: run --spec, sweep
-    // --sweep/--parallel/--csv/--json, multijob --jobs/--no-isolated/
-    // --json, serve its service knobs. Rejecting the rest keeps the rule
-    // above symmetric — no command silently ignores a flag it never
-    // reads.
-    const bool serve_family =
-        flag == "--arrivals" || flag == "--fabrics" ||
-        flag == "--duration" || flag == "--job" || flag == "--placement" ||
-        flag == "--max-jobs" || flag == "--queue" || flag == "--seed" ||
-        flag == "--trace" || flag == "--faults" || flag == "--retry-budget";
-    const bool spec_family = flag == "--spec" || flag == "--sweep" ||
-                             flag == "--jobs" || flag == "--no-isolated" ||
-                             flag == "--dump" || flag == "--parallel" ||
-                             flag == "--csv" || flag == "--json" ||
-                             flag == "--threads" || serve_family;
-    // exec's own flag set; rejected with the same symmetry everywhere else.
-    const bool exec_family = flag == "--model" || flag == "--iters" ||
-                             flag == "--straggler" ||
-                             flag == "--deterministic" ||
-                             flag == "--link-jitter";
-    if (exec_family && !exec_command) {
-      std::cerr << args.command << ": " << flag
-                << " is not accepted (--model/--iters/--straggler/"
-                   "--deterministic/--link-jitter belong to exec)\n";
-      return false;
-    }
-    if (spec_family) {
-      const bool allowed =
-          (args.command == "run" && flag == "--spec") ||
-          (args.command == "sweep" &&
-           (flag == "--sweep" || flag == "--parallel" || flag == "--csv" ||
-            flag == "--json")) ||
-          (args.command == "multijob" &&
-           (flag == "--jobs" || flag == "--no-isolated" ||
-            flag == "--json")) ||
-          (args.command == "lower" &&
-           (flag == "--jobs" || flag == "--dump" || flag == "--json")) ||
-          (args.command == "clustersweep" &&
-           (flag == "--jobs" || flag == "--fabrics" ||
-            flag == "--threads" || flag == "--json")) ||
-          (args.command == "serve" && (serve_family || flag == "--json")) ||
-          (exec_command && (flag == "--seed" || flag == "--json"));
-      if (!allowed) {
-        std::cerr << args.command << ": " << flag
-                  << " is not accepted (--spec belongs to run; "
-                     "--sweep/--parallel/--csv/--json to sweep; "
-                     "--jobs/--no-isolated/--json to multijob; "
-                     "--jobs/--dump/--json to lower; "
-                     "--jobs/--fabrics/--threads/--json to clustersweep; "
-                     "--arrivals/--fabrics/--duration/--job/--placement/"
-                     "--max-jobs/--queue/--seed/--faults/--retry-budget/"
-                     "--trace/--json to serve; --seed/--json also to "
-                     "exec)\n";
-        return false;
+  } else {
+    try {
+      std::size_t consumed = 0;
+      T parsed;
+      if constexpr (std::is_same_v<T, int>) {
+        parsed = std::stoi(text, &consumed);
+      } else if constexpr (std::is_same_v<T, double>) {
+        parsed = std::stod(text, &consumed);
+      } else {
+        static_assert(std::is_same_v<T, std::uint64_t>);
+        parsed = std::stoull(text, &consumed);
       }
-    }
-    if (flag == "--training") {
-      args.training = true;
-    } else if (flag == "--workers") {
-      if (!ParseIntFlag(next(), args.workers)) return false;
-    } else if (flag == "--ps") {
-      if (!ParseIntFlag(next(), args.ps)) return false;
-    } else if (flag == "--env") {
-      const char* v = next();
-      if (!v) return false;
-      args.env = v;
-    } else if (flag == "--policy") {
-      const char* v = next();
-      if (!v) return false;
-      args.policy = v;
-      // exec compares several policies side by side; collect repeats.
-      if (exec_command) args.exec_policies.emplace_back(v);
-    } else if (flag == "--model") {
-      const char* v = next();
-      if (!v) return false;
-      args.model = v;
-    } else if (flag == "--iters") {
-      if (!ParseIntFlag(next(), args.iterations)) return false;
-    } else if (flag == "--straggler") {
-      const char* v = next();
-      if (!v) return false;
-      const std::string text = v;
-      const std::size_t eq = text.find('=');
-      int worker = 0;
-      double factor = 0.0;
-      if (eq == std::string::npos ||
-          !ParseIntFlag(text.substr(0, eq).c_str(), worker) ||
-          !ParseDoubleFlag(text.substr(eq + 1).c_str(), factor)) {
-        std::cerr << "--straggler expects worker=factor, e.g. "
-                     "--straggler 1=2.5\n";
-        return false;
-      }
-      if (worker < 0 || factor < 1.0) {
-        std::cerr << "--straggler needs worker >= 0 and factor >= 1\n";
-        return false;
-      }
-      args.stragglers.emplace_back(worker, factor);
-    } else if (flag == "--deterministic") {
-      args.deterministic = true;
-    } else if (flag == "--link-jitter") {
-      if (!ParseDoubleFlag(next(), args.link_jitter)) return false;
-      if (args.link_jitter < 0.0) {
-        std::cerr << "--link-jitter must be >= 0\n";
-        return false;
-      }
-    } else if (flag == "--iterations") {
-      if (!ParseIntFlag(next(), args.iterations)) return false;
-    } else if (flag == "--spec" || flag == "--sweep" || flag == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      append_spec(v);
-    } else if (flag == "--no-isolated") {
-      args.no_isolated = true;
-    } else if (flag == "--dump") {
-      args.dump = true;
-    } else if (flag == "--arrivals") {
-      const char* v = next();
-      if (!v) return false;
-      args.arrivals = v;
-    } else if (flag == "--job") {
-      const char* v = next();
-      if (!v) return false;
-      args.serve_jobs.emplace_back(v);
-    } else if (flag == "--fabrics") {
-      // serve and clustersweep both take --fabrics; they default
-      // differently (1 fabric vs fewest-that-fit), so they keep
-      // separate fields.
-      int* dst = args.command == "clustersweep" ? &args.sweep_fabrics
-                                                : &args.fabrics;
-      if (!ParseIntFlag(next(), *dst)) return false;
-    } else if (flag == "--threads") {
-      if (!ParseIntFlag(next(), args.threads)) return false;
-      if (args.threads < 0) {
-        std::cerr << "--threads must be >= 0 (0 = all cores)\n";
-        return false;
-      }
-    } else if (flag == "--duration") {
-      if (!ParseDoubleFlag(next(), args.duration)) return false;
-    } else if (flag == "--placement") {
-      const char* v = next();
-      if (!v) return false;
-      args.placement = v;
-    } else if (flag == "--max-jobs") {
-      if (!ParseIntFlag(next(), args.max_jobs)) return false;
-    } else if (flag == "--queue") {
-      if (!ParseIntFlag(next(), args.queue)) return false;
-    } else if (flag == "--seed") {
-      if (!ParseSeedFlag(next(), args.seed)) return false;
-    } else if (flag == "--trace") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (flag == "--faults") {
-      const char* v = next();
-      if (!v) return false;
-      args.faults = v;
-    } else if (flag == "--retry-budget") {
-      if (!ParseIntFlag(next(), args.retry_budget)) return false;
-    } else if (flag == "--parallel") {
-      if (!ParseIntFlag(next(), args.parallelism)) return false;
-      if (args.parallelism < 1) {
-        std::cerr << "--parallel must be >= 1\n";
-        return false;
-      }
-    } else if (flag == "--csv") {
-      args.emit = Args::Emit::kCsv;
-    } else if (flag == "--json") {
-      args.emit = Args::Emit::kJson;
-    } else if (flag == "--list-policies") {
-      args.command = "policies";
-    } else if (spec_command && args.command != "serve" &&
-               flag.rfind("--", 0) != 0) {
-      // Unquoted spec text: join the stray tokens back together. (serve
-      // takes its specs through --arrivals/--job, never positionally.)
-      append_spec(flag);
-    } else {
-      std::cerr << "unknown flag: " << flag << "\n";
+      if (consumed != std::strlen(text)) return false;
+      out = parsed;
+      return true;
+    } catch (const std::exception&) {
       return false;
     }
   }
+}
+
+// Store builders for the flag table.
+template <typename T>
+Store Into(T Args::*field) {
+  return [field](Args& args, std::string_view, const char* value) {
+    return ParseValue(value, args.*field);
+  };
+}
+
+// Into, then a lower bound, with `note` appended to the complaint.
+template <typename T>
+Store AtLeast(T Args::*field, T min, std::string_view note = "") {
+  return [=](Args& args, std::string_view flag, const char* value) {
+    if (!ParseValue(value, args.*field)) return false;
+    if (args.*field >= min) return true;
+    std::cerr << flag << " must be >= " << min << note << "\n";
+    return false;
+  };
+}
+
+Store Append(std::vector<std::string> Args::*field) {
+  return [field](Args& args, std::string_view, const char* value) {
+    (args.*field).emplace_back(value);
+    return true;
+  };
+}
+
+Store Set(bool Args::*field) {
+  return [field](Args& args, std::string_view, const char*) {
+    args.*field = true;
+    return true;
+  };
+}
+
+Store EmitAs(Args::Emit emit) {
+  return [emit](Args& args, std::string_view, const char*) {
+    args.emit = emit;
+    return true;
+  };
+}
+
+void AppendSpecText(Args& args, std::string_view text) {
+  if (!args.spec_text.empty()) args.spec_text += ' ';
+  args.spec_text += text;
+}
+
+bool AppendSpec(Args& args, std::string_view, const char* value) {
+  AppendSpecText(args, value);
   return true;
 }
 
-int CmdModels() {
+bool AddStraggler(Args& args, std::string_view flag, const char* value) {
+  const std::string text = value;
+  const std::size_t eq = text.find('=');
+  int worker = 0;
+  double factor = 0.0;
+  if (eq == std::string::npos ||
+      !ParseValue(text.substr(0, eq).c_str(), worker) ||
+      !ParseValue(text.substr(eq + 1).c_str(), factor)) {
+    std::cerr << flag << " expects worker=factor, e.g. " << flag << " 1=2.5\n";
+    return false;
+  }
+  if (worker < 0 || factor < 1.0) {
+    std::cerr << flag << " needs worker >= 0 and factor >= 1\n";
+    return false;
+  }
+  args.stragglers.emplace_back(worker, factor);
+  return true;
+}
+
+// Names `flag`, which `command` does not read, and says where it goes.
+void Reject(const Command& command, std::string_view flag, bool spec_key) {
+  std::cerr << command.name << ": " << flag << " is not accepted";
+  if (command.spec_settings && spec_key) {
+    std::cerr << " — put it in the spec text, e.g. "
+                 "\"envG:workers=8:ps=2:training ... iterations=5\"\n";
+    return;
+  }
+  std::vector<std::string_view> own;
+  std::vector<std::string_view> owners;
+  for (const Flag& f : Flags()) {
+    if (Reads(f, command.name)) own.push_back(f.name);
+    if (f.name == flag) {
+      owners.insert(owners.end(), f.commands.begin(), f.commands.end());
+    }
+  }
+  const auto list = [](const std::vector<std::string_view>& names) {
+    std::string text;
+    for (const std::string_view name : names) {
+      if (!text.empty()) text += ", ";
+      text += name;
+    }
+    return text.empty() ? std::string("no flags") : text;
+  };
+  std::cerr << " (" << command.name << " reads " << list(own) << "; uses of "
+            << flag << " belong to " << list(owners) << ")\n";
+}
+
+// Every flag is checked against the command's rows in Flags(): a flag
+// the command does not read is rejected by name, so no command silently
+// ignores one. Returns the command to run, or null (→ usage, exit 2).
+const Command* Parse(int argc, char** argv, Args& args) {
+  if (argc < 2) return nullptr;
+  const Command* command = nullptr;
+  for (const Command& c : Commands()) {
+    if (c.name == argv[1]) command = &c;
+  }
+  if (!command) {
+    std::cerr << "unknown command: " << argv[1] << "\n";
+    return nullptr;
+  }
+  const std::string_view name = command->name;
+  int i = 2;
+  if (command->operands == Command::Operands::kModel) {
+    if (i >= argc) return nullptr;
+    args.model = argv[i++];
+  }
+  for (; i < argc; ++i) {
+    const std::string_view token = argv[i];
+    if (!token.starts_with("--")) {
+      if (command->operands != Command::Operands::kSpec) {
+        std::cerr << name << ": unexpected argument: " << token << "\n";
+        return nullptr;
+      }
+      AppendSpecText(args, token);
+      continue;
+    }
+    const Flag* flag = nullptr;
+    bool known = false;
+    bool spec_key = false;
+    for (const Flag& f : Flags()) {
+      if (f.name != token) continue;
+      known = true;
+      spec_key |= (f.traits & kSpecKey) != 0;
+      if (Reads(f, name)) flag = &f;
+    }
+    if (!known) {
+      std::cerr << "unknown flag: " << token << "\n";
+      return nullptr;
+    }
+    if (!flag) {
+      Reject(*command, token, spec_key);
+      return nullptr;
+    }
+    const char* value = nullptr;
+    if (!flag->value.empty()) {
+      if (i + 1 >= argc) return nullptr;
+      value = argv[++i];
+    }
+    if (!flag->store(args, token, value)) return nullptr;
+  }
+  return command;
+}
+
+int CmdModels(const Args&) {
   util::Table table({"Model", "#Par", "MiB", "#Ops inf", "#Ops train",
                      "Batch", "Family"});
   for (const auto& info : models::ModelZoo()) {
@@ -656,40 +517,14 @@ int CmdLower(const Args& args) {
   const ir::Module module =
       pipeline.Run(ir::BuildModuleForSpec(spec), options);
 
+  // Simulated exactly as multijob simulates BuildSharedFabric's fabric.
   bool any_scheduled = false;
   for (const auto& job : module.jobs) any_scheduled |= job.scheduled;
-  const runtime::MultiJobLowering lowering = ir::ToMultiJobLowering(module);
-
-  sim::SimOptions sim_options = spec.jobs.front().spec.BuildCluster().sim;
-  sim_options.enforce_gates = any_scheduled;
-  sim::TaskGraphSim sim = lowering.combined.BuildSim();
-
-  // Same iteration loop (and seeding) as MultiJobRunner::Run.
-  const int iterations = spec.jobs.front().spec.iterations;
-  const std::uint64_t seed = spec.jobs.front().spec.seed;
-  runtime::MultiJobResult result;
-  result.jobs.resize(spec.jobs.size());
-  double combined_samples = 0.0;
-  for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
-    const runtime::ExperimentSpec& job = spec.jobs[j].spec;
-    const double samples = models::FindModel(job.model).standard_batch *
-                           job.cluster.batch_factor * job.cluster.workers;
-    result.jobs[j].samples_per_iteration = samples;
-    combined_samples += samples;
-  }
-  result.combined.samples_per_iteration = combined_samples;
-  for (int i = 0; i < iterations; ++i) {
-    const sim::SimResult run =
-        sim.Run(sim_options, seed + static_cast<std::uint64_t>(i));
-    result.combined.iterations.push_back(
-        runtime::ComputeIterationStats(lowering.combined, run));
-    for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
-      const sim::SimResult sliced =
-          runtime::SliceResult(run, lowering.jobs[j]);
-      result.jobs[j].iterations.push_back(
-          runtime::ComputeIterationStats(lowering.jobs[j].lowering, sliced));
-    }
-  }
+  const runtime::MultiJobRunner runner(
+      spec, runtime::MakeSharedFabric(ir::ToMultiJobLowering(module),
+                                      module.jobs.front().config.sim,
+                                      any_scheduled));
+  const runtime::MultiJobResult result = runner.Run();
 
   if (args.emit == Args::Emit::kJson) {
     std::cout << "{\n  \"passes\": [";
@@ -902,40 +737,135 @@ int CmdCompare(const Args& args) {
   return 0;
 }
 
+int CmdExportGraph(const Args& args) {
+  const core::Graph graph = models::BuildWorkerGraph(
+      models::FindModel(args.model), {.training = args.training});
+  std::cout << core::GraphToString(graph);
+  return 0;
+}
+
+int CmdExportDot(const Args& args) {
+  const core::Graph graph = models::BuildWorkerGraph(
+      models::FindModel(args.model), {.training = args.training});
+  const core::Schedule tic = core::Tic(graph);
+  std::cout << core::ToDot(graph, &tic);
+  return 0;
+}
+
+const std::vector<Command>& Commands() {
+  using enum Command::Operands;
+  static const std::vector<Command> commands = {
+      {"models", kNone, false,
+       "List the model zoo with Table 1 characteristics.", CmdModels},
+      {"policies", kNone, false, "List the registered scheduling policies.",
+       CmdListPolicies},
+      {"--list-policies", kNone, false, "Same as `tictac_cli policies`.",
+       CmdListPolicies},
+      {"schedule", kModel, false,
+       "Print the priority list (the ordering wizard's output, §5).",
+       CmdSchedule},
+      {"run", kSpec, true,
+       "Execute one declaratively specified experiment (grammar below).",
+       CmdRun},
+      {"sweep", kSpec, true,
+       "Run a cartesian grid; rows are identical at every --parallel.",
+       CmdSweep},
+      {"multijob", kSpec, true,
+       "Co-locate jobs on one shared PS fabric (DESIGN.md §6).",
+       CmdMultiJob},
+      {"lower", kSpec, true,
+       "Lower jobs through one checked pass pipeline, simulate (DESIGN.md "
+       "§10).",
+       CmdLower},
+      {"clustersweep", kSpec, true,
+       "Split up to 4096 jobs over K fabrics, simulate sharded (DESIGN.md "
+       "§11).",
+       CmdClusterSweep},
+      {"serve", kNone, true,
+       "Scheduler service: arrivals, placement, SLOs, faults (DESIGN.md "
+       "§7-8).",
+       CmdServe},
+      {"exec", kNone, false,
+       "Run the graph on real PS threads: predicted vs measured (DESIGN.md "
+       "§9).",
+       CmdExec},
+      {"simulate", kModel, false,
+       "Simulate a cluster and report throughput / E / stragglers.",
+       CmdSimulate},
+      {"compare", kModel, false,
+       "Every registered policy side by side against the baseline.",
+       CmdCompare},
+      {"export-graph", kModel, false,
+       "Serialize the worker partition (core/io.h text format).",
+       CmdExportGraph},
+      {"export-dot", kModel, false,
+       "Graphviz DOT of the worker partition with TIC priorities.",
+       CmdExportDot},
+  };
+  return commands;
+}
+
+const std::vector<Flag>& Flags() {
+  static const std::vector<Flag> flags = {
+      {"--spec", "\"<spec>\"", {"run"}, AppendSpec},
+      {"--sweep", "\"<sweep>\"", {"sweep"}, AppendSpec},
+      {"--jobs", "\"<job groups>\"", {"multijob", "lower", "clustersweep"},
+       AppendSpec},
+      {"--arrivals", "\"<arrival>\"", {"serve"}, Into(&Args::arrivals)},
+      {"--model", "<name>", {"exec"}, Into(&Args::model)},
+      {"--policy", "<name>", {"schedule", "simulate"}, Into(&Args::policy),
+       kSpecKey},
+      {"--policy", "<name>", {"exec"}, Append(&Args::exec_policies),
+       kSpecKey | kRepeats},
+      {"--workers", "N", {"simulate", "compare", "exec"},
+       Into(&Args::workers), kSpecKey},
+      {"--ps", "N", {"simulate", "compare", "exec"}, Into(&Args::ps),
+       kSpecKey},
+      {"--training", "",
+       {"schedule", "simulate", "compare", "export-graph", "export-dot"},
+       Set(&Args::training), kSpecKey},
+      {"--iterations", "N", {"simulate", "compare"}, Into(&Args::iterations),
+       kSpecKey},
+      {"--env", "<env>", {"simulate", "compare"}, Into(&Args::env), kSpecKey},
+      {"--iters", "I", {"exec"}, Into(&Args::iterations)},
+      {"--parallel", "N", {"sweep"}, AtLeast(&Args::parallelism, 1)},
+      {"--no-isolated", "", {"multijob"}, Set(&Args::no_isolated)},
+      {"--dump", "", {"lower"}, Set(&Args::dump)},
+      {"--fabrics", "K", {"clustersweep"}, Into(&Args::sweep_fabrics)},
+      {"--threads", "N", {"clustersweep"},
+       AtLeast(&Args::threads, 0, " (0 = all cores)")},
+      {"--fabrics", "K", {"serve"}, Into(&Args::fabrics)},
+      {"--duration", "T", {"serve"}, Into(&Args::duration)},
+      {"--job", "\"<spec>\"", {"serve"}, Append(&Args::serve_jobs),
+       kRepeats},
+      {"--placement", "<name>", {"serve"}, Into(&Args::placement)},
+      {"--max-jobs", "N", {"serve"}, Into(&Args::max_jobs)},
+      {"--queue", "N", {"serve"}, Into(&Args::queue)},
+      {"--seed", "N", {"serve", "exec"}, Into(&Args::seed)},
+      {"--faults", "\"<faults>\"", {"serve"}, Into(&Args::faults)},
+      {"--retry-budget", "N", {"serve"}, Into(&Args::retry_budget)},
+      {"--trace", "FILE", {"serve"}, Into(&Args::trace_out)},
+      {"--straggler", "w=F", {"exec"}, AddStraggler, kRepeats},
+      {"--deterministic", "", {"exec"}, Set(&Args::deterministic)},
+      {"--link-jitter", "SIGMA", {"exec"}, AtLeast(&Args::link_jitter, 0.0)},
+      {"--csv", "", {"sweep"}, EmitAs(Args::Emit::kCsv)},
+      {"--json", "",
+       {"sweep", "multijob", "lower", "clustersweep", "serve", "exec"},
+       EmitAs(Args::Emit::kJson)},
+  };
+  return flags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  if (!Parse(argc, argv, args)) return Usage();
+  const Command* command = Parse(argc, argv, args);
+  if (!command) return Usage();
   try {
-    if (args.command == "models") return CmdModels();
-    if (args.command == "policies") return CmdListPolicies();
-    if (args.command == "schedule") return CmdSchedule(args);
-    if (args.command == "run") return CmdRun(args);
-    if (args.command == "sweep") return CmdSweep(args);
-    if (args.command == "multijob") return CmdMultiJob(args);
-    if (args.command == "lower") return CmdLower(args);
-    if (args.command == "clustersweep") return CmdClusterSweep(args);
-    if (args.command == "serve") return CmdServe(args);
-    if (args.command == "exec") return CmdExec(args);
-    if (args.command == "simulate") return CmdSimulate(args);
-    if (args.command == "compare") return CmdCompare(args);
-    if (args.command == "export-graph" || args.command == "export-dot") {
-      const auto& info = models::FindModel(args.model);
-      const core::Graph graph =
-          models::BuildWorkerGraph(info, {.training = args.training});
-      if (args.command == "export-graph") {
-        std::cout << core::GraphToString(graph);
-      } else {
-        const core::Schedule tic = core::Tic(graph);
-        std::cout << core::ToDot(graph, &tic);
-      }
-      return 0;
-    }
+    return command->run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "unknown command: " << args.command << "\n";
-  return Usage();
 }

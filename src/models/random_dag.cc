@@ -1,11 +1,23 @@
 #include "models/random_dag.h"
 
 #include <cassert>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
 
 namespace tictac::models {
+namespace {
+
+// "<prefix><index>", e.g. "r3". Built by appending: GCC 12 reports a
+// false -Wrestrict on `"r" + std::to_string(r)` (GCC bug 105329).
+std::string IndexedName(char prefix, int index) {
+  std::string name(1, prefix);
+  name += std::to_string(index);
+  return name;
+}
+
+}  // namespace
 
 core::Graph MakeRandomDag(const RandomDagOptions& options,
                           std::uint64_t seed) {
@@ -20,7 +32,7 @@ core::Graph MakeRandomDag(const RandomDagOptions& options,
   for (int r = 0; r < options.num_recvs; ++r) {
     const auto bytes = static_cast<std::int64_t>(
         rng.UniformInt(1024, options.max_bytes));
-    recvs.push_back(g.AddRecv("r" + std::to_string(r), bytes, r));
+    recvs.push_back(g.AddRecv(IndexedName('r', r), bytes, r));
   }
 
   // Computes spread across layers; the final compute is the common sink.
@@ -36,7 +48,7 @@ core::Graph MakeRandomDag(const RandomDagOptions& options,
                          : static_cast<int>(rng.Index(
                                static_cast<std::size_t>(options.num_layers)));
     const core::OpId id =
-        g.AddCompute("c" + std::to_string(c), rng.Uniform(0.1, options.max_cost));
+        g.AddCompute(IndexedName('c', c), rng.Uniform(0.1, options.max_cost));
     layer[static_cast<std::size_t>(l)].push_back(id);
     computes.push_back(id);
   }
@@ -93,7 +105,7 @@ core::Graph MakeRandomDag(const RandomDagOptions& options,
   if (options.with_sends) {
     for (int r = 0; r < options.num_recvs; ++r) {
       const auto bytes = g.op(recvs[static_cast<std::size_t>(r)]).bytes;
-      const core::OpId send = g.AddSend("s" + std::to_string(r), bytes, r);
+      const core::OpId send = g.AddSend(IndexedName('s', r), bytes, r);
       g.AddEdge(sink, send);
     }
   }

@@ -226,10 +226,15 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& jobs,
                                       schedule.schedule, runner.ps_of_param(),
                                       runner.config(), job.start_offset});
   }
-  SharedFabric fabric;
-  fabric.lowering = LowerSharedCluster(inputs);
-  fabric.options = inputs.front().config.sim;
-  fabric.options.enforce_gates = any_covered;
+  return MakeSharedFabric(LowerSharedCluster(inputs),
+                          inputs.front().config.sim, any_covered);
+}
+
+SharedFabric MakeSharedFabric(MultiJobLowering lowering,
+                              const sim::SimOptions& base,
+                              bool enforce_gates) {
+  SharedFabric fabric{std::move(lowering), base};
+  fabric.options.enforce_gates = enforce_gates;
   // Non-null exactly when a config enabled sim.flow_fairness
   // (lower_flow_nics).
   fabric.options.network = fabric.lowering.combined.flow.get();
@@ -304,6 +309,16 @@ MultiJobRunner::MultiJobRunner(MultiJobSpec spec) : spec_(std::move(spec)) {
   // dropped with the cache once the fabric is built.
   AnalysisCache cache;
   fabric_ = BuildSharedFabric(spec_.jobs, cache);
+}
+
+MultiJobRunner::MultiJobRunner(MultiJobSpec spec, SharedFabric fabric)
+    : spec_(std::move(spec)), fabric_(std::move(fabric)) {
+  spec_.Validate();
+  if (fabric_.lowering.jobs.size() != spec_.jobs.size()) {
+    Fail("the fabric has " + std::to_string(fabric_.lowering.jobs.size()) +
+         " job slices but the spec has " + std::to_string(spec_.jobs.size()) +
+         " jobs");
+  }
 }
 
 MultiJobResult MultiJobRunner::Run() const {

@@ -180,15 +180,22 @@ struct SharedFabric {
   sim::SimOptions options;
 };
 
+// A fabric over an already-lowered `lowering`, with the options derived
+// from `base` (job 0's config.sim): gates are enforced when
+// `enforce_gates` (some job's schedule covers its recvs), and the flow
+// model is on when the lowering carries a flow network, i.e. when any
+// job enables it (contention is fabric-wide or not at all).
+SharedFabric MakeSharedFabric(MultiJobLowering lowering,
+                              const sim::SimOptions& base,
+                              bool enforce_gates);
+
 // The one contended-fabric construction path (MultiJobRunner,
 // ClusterSweep and sched::SchedulerService all build through it). Scales
 // each job's platform bandwidth by W_j/T, looks up its Runner and then
 // its schedule in `cache` in job order, lowers the jobs with
-// LowerSharedCluster, and derives the options from job 0's config:
-// gates are enforced when any job's schedule covers its recvs, and the
-// flow model is on when any job enables it (contention is fabric-wide
-// or not at all). Jobs are not validated against each other here; the
-// callers apply their own sharing rules first.
+// LowerSharedCluster, and derives the options with MakeSharedFabric.
+// Jobs are not validated against each other here; the callers apply
+// their own sharing rules first.
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& jobs,
                                AnalysisCache& cache);
 
@@ -213,6 +220,10 @@ struct MultiJobResult {
 class MultiJobRunner {
  public:
   explicit MultiJobRunner(MultiJobSpec spec);
+  // Runs `fabric`, lowered elsewhere from `spec` (e.g. by
+  // ir::FullLoweringPipeline over ir::BuildModuleForSpec); throws
+  // std::invalid_argument unless it has one slice per job of the spec.
+  MultiJobRunner(MultiJobSpec spec, SharedFabric fabric);
 
   // Simulates spec().jobs[0].spec.iterations iterations (validated equal
   // across jobs), seeds seed + i as the single-job path does. Thread-safe
@@ -224,7 +235,7 @@ class MultiJobRunner {
   const MultiJobLowering& lowering() const { return fabric_.lowering; }
   int total_workers() const { return fabric_.lowering.total_workers; }
   // The options every Run() simulates with (gates, jitter, flow network),
-  // derived from the jobs' configs at construction.
+  // derived from the jobs' configs by MakeSharedFabric.
   const sim::SimOptions& sim_options() const { return fabric_.options; }
 
  private:

@@ -24,7 +24,11 @@ std::vector<Span> CollectSpans(const runtime::Lowering& lowering,
     if (task.op != core::kInvalidOp) {
       span.name = worker_graph.op(task.op).name;
       if (task.worker >= 0) {
-        span.name = "w" + std::to_string(task.worker) + "/" + span.name;
+        std::string name = "w";
+        name += std::to_string(task.worker);
+        name += '/';
+        name += span.name;
+        span.name = std::move(name);
       }
     } else {
       span.name = std::string("ps/") + core::ToString(task.kind);

@@ -37,6 +37,32 @@ CliResult RunCli(const std::string& args) {
   return result;
 }
 
+// The CLI's stdout, or "" when it exits non-zero.
+std::string CliStdout(const std::string& args) {
+  const std::string out_path = ::testing::TempDir() + "/tictac_cli_out.txt";
+  const std::string cmd = std::string(TICTAC_CLI_PATH) + " " + args + " >" +
+                          out_path + " 2>/dev/null";
+  int status = std::system(cmd.c_str());
+#ifndef _WIN32
+  if (WIFEXITED(status)) status = WEXITSTATUS(status);
+#endif
+  if (status != 0) return "";
+  std::ifstream in(out_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The first "mean_iteration_s" value in a JSON report: the combined one
+// for both lower and multijob.
+std::string MeanIterationField(const std::string& json) {
+  const std::string key = "\"mean_iteration_s\": ";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size();
+  return json.substr(begin, json.find_first_of(",}", begin) - begin);
+}
+
 TEST(CliSmoke, KnownSubcommandSucceeds) {
   const CliResult result = RunCli("models");
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
@@ -231,6 +257,42 @@ TEST(CliSmoke, ExecMalformedStragglerIsRejected) {
   EXPECT_NE(result.stderr_text.find("--straggler expects worker=factor"),
             std::string::npos)
       << result.stderr_text;
+}
+
+TEST(CliSmoke, LowerSimulatesFlowFabricLikeMultijob) {
+  // lower and multijob simulate the same fabric with the same options, so
+  // a flow-fairness spec must report the same iteration time from both.
+  const std::string jobs =
+      "--jobs \"{envG:workers=2:ps=1:training:flow model=AlexNet v2 "
+      "policy=tac iterations=2 seed=1}\" --json";
+  const std::string lowered = MeanIterationField(CliStdout("lower " + jobs));
+  ASSERT_FALSE(lowered.empty());
+  EXPECT_EQ(lowered, MeanIterationField(CliStdout("multijob " + jobs)));
+}
+
+TEST(CliSmoke, EveryCommandRejectsFlagsItDoesNotRead) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {"schedule \"AlexNet v2\" --workers 8", "--workers"},
+      {"exec --env envC", "--env"},
+      {"exec --iterations 3", "--iterations"},
+      {"exec --training", "--training"},
+      {"run --spec \"envG:workers=2:ps=1 model=AlexNet v2 policy=tic "
+       "iterations=1\" --list-policies",
+       "--list-policies"},
+  };
+  for (const auto& c : cases) {
+    const CliResult result = RunCli(c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args;
+    // Named by the complaint itself, not just listed in the usage text.
+    const std::string complaint =
+        result.stderr_text.substr(0, result.stderr_text.find("usage:"));
+    EXPECT_NE(complaint.find(c.flag), std::string::npos)
+        << c.args << "\n" << result.stderr_text;
+  }
+  EXPECT_EQ(RunCli("--list-policies").exit_code, 0);
 }
 
 }  // namespace

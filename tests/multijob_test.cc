@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "harness/session.h"
+#include "ir/lower.h"
 #include "util/stats.h"
 
 namespace tictac::runtime {
@@ -384,6 +385,36 @@ TEST(MultiJob, MixedEnforcementJobsCoexist) {
       }
     }
   }
+}
+
+TEST(MultiJob, RunnerOverPreloweredFabricMatchesBuiltFabric) {
+  // A fabric lowered by the spec pipeline and handed to MakeSharedFabric
+  // runs exactly as BuildSharedFabric's, flow network included.
+  const MultiJobSpec spec = MultiJobSpec::Parse(
+      "{envG:workers=2:ps=1:training:flow model=AlexNet v2 policy=tac "
+      "iterations=2 seed=1}");
+  const ir::Module module = ir::FullLoweringPipeline(Topology::kPsFabric)
+                                .Run(ir::BuildModuleForSpec(spec));
+  const MultiJobRunner built(spec);
+  const MultiJobRunner prelowered(
+      spec, MakeSharedFabric(ir::ToMultiJobLowering(module),
+                             module.jobs.front().config.sim,
+                             module.jobs.front().scheduled));
+  ASSERT_NE(prelowered.sim_options().network, nullptr);
+  EXPECT_TRUE(prelowered.sim_options().flow_fairness);
+  const MultiJobResult want = built.Run();
+  const MultiJobResult got = prelowered.Run();
+  ASSERT_EQ(got.combined.iterations.size(), want.combined.iterations.size());
+  for (std::size_t i = 0; i < want.combined.iterations.size(); ++i) {
+    EXPECT_EQ(got.combined.iterations[i].makespan,
+              want.combined.iterations[i].makespan);
+  }
+
+  MultiJobSpec two = spec;
+  two.jobs.push_back(two.jobs.front());
+  EXPECT_THROW(MultiJobRunner(two, SharedFabric{prelowered.lowering(),
+                                                prelowered.sim_options()}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -228,7 +228,9 @@ TEST_P(EngineGolden, RunParallelMatchesPinnedDigestAtOneAndFourThreads) {
 INSTANTIATE_TEST_SUITE_P(
     Resources, EngineGolden, ::testing::ValuesIn(kGrid),
     [](const ::testing::TestParamInfo<GridCase>& info) {
-      return "r" + std::to_string(info.param.num_resources);
+      std::string name = "r";
+      name += std::to_string(info.param.num_resources);
+      return name;
     });
 
 // The paper's headline configuration: ResNet-101 v2 on envG with 8

@@ -100,8 +100,12 @@ TEST(Tac, ChainModelFollowsLayerOrder) {
   MapTimeOracle oracle({});
   OpId prev = kInvalidOp;
   for (int k = 0; k < 5; ++k) {
-    const OpId r = g.AddRecv("r" + std::to_string(k), 0);
-    const OpId c = g.AddCompute("c" + std::to_string(k), 1);
+    std::string recv_name = "r";
+    recv_name += std::to_string(k);
+    std::string compute_name = "c";
+    compute_name += std::to_string(k);
+    const OpId r = g.AddRecv(recv_name, 0);
+    const OpId c = g.AddCompute(compute_name, 1);
     g.AddEdge(r, c);
     if (prev != kInvalidOp) g.AddEdge(prev, c);
     prev = c;
